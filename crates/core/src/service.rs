@@ -672,7 +672,7 @@ pub type FactoryProvider = Arc<dyn Fn(&Campaign) -> Result<TargetFactory> + Send
 
 /// [`CampaignService`] over the in-process [`CampaignRunner`]: each
 /// submitted job runs on a background thread against the service's
-/// database file, with journaled persistence and a final snapshot —
+/// database file, with journaled persistence and a final checkpoint —
 /// exactly what `goofi run` did before the service existed.
 pub struct LocalService {
     db: PathBuf,
@@ -706,14 +706,52 @@ impl LocalService {
             let _ = t.join();
         }
     }
+}
 
-    fn load_store(db: &Path) -> Result<GoofiStore> {
-        if db.exists() {
-            GoofiStore::load(db)
-        } else {
-            Ok(GoofiStore::new())
+/// Opens the database file `db` for one submitted job — the only time
+/// the job opens it. Loads the store (an empty one when the file is
+/// missing), resolves `campaign` and validates it by building its target
+/// factory through `provider` (an unknown workload is a submit error,
+/// not a mid-job event), then turns on journaling, in place when the
+/// file allows it. A carried-along campaign is stored if absent, with
+/// its target's configuration (`CampaignData` has a foreign key into
+/// `TargetSystemData`), and made durable by a checkpoint. The returned
+/// store moves into the job.
+///
+/// # Errors
+///
+/// Load, lookup, validation and journaling failures.
+pub fn open_job_store(
+    db: &Path,
+    campaign: &CampaignRef,
+    provider: &dyn Fn(&Campaign) -> Result<TargetFactory>,
+) -> Result<(GoofiStore, Campaign, TargetFactory)> {
+    let mut store = if db.exists() {
+        GoofiStore::load(db)?
+    } else {
+        GoofiStore::new()
+    };
+    let resolved = match campaign {
+        CampaignRef::Name(name) => store.get_campaign(name)?,
+        CampaignRef::Inline(c) => c.clone(),
+    };
+    let factory = provider(&resolved)?;
+    store.enable_journal(db)?;
+    if let CampaignRef::Inline(c) = campaign {
+        let mut dirty = false;
+        if store.get_target(&c.target).is_err() {
+            store.put_target(&factory().describe())?;
+            dirty = true;
+        }
+        if store.get_campaign(&c.name).is_err() {
+            store.put_campaign(c)?;
+            dirty = true;
+        }
+        if dirty {
+            store.save(db)?;
         }
     }
+    Ok((store, resolved, factory))
 }
 
 impl Drop for LocalService {
@@ -724,30 +762,7 @@ impl Drop for LocalService {
 
 impl CampaignService for LocalService {
     fn submit(&mut self, spec: JobSpec) -> Result<JobId> {
-        let mut store = Self::load_store(&self.db)?;
-        let campaign = match &spec.campaign {
-            CampaignRef::Name(name) => store.get_campaign(name)?,
-            CampaignRef::Inline(c) => c.clone(),
-        };
-        let factory = (self.provider)(&campaign)?;
-        if let CampaignRef::Inline(c) = &spec.campaign {
-            // Carried-along campaigns are stored on arrival (with their
-            // target's configuration — `CampaignData` has a foreign key
-            // into `TargetSystemData`).
-            let mut dirty = false;
-            if store.get_target(&c.target).is_err() {
-                let probe = factory();
-                store.put_target(&probe.describe())?;
-                dirty = true;
-            }
-            if store.get_campaign(&c.name).is_err() {
-                store.put_campaign(c)?;
-                dirty = true;
-            }
-            if dirty {
-                store.save(&self.db)?;
-            }
-        }
+        let (store, campaign, factory) = open_job_store(&self.db, &spec.campaign, &*self.provider)?;
         let job = self.registry.create(&campaign.name);
         let (controller, handle) = control_channel();
         let handle = Arc::new(handle);
@@ -759,11 +774,9 @@ impl CampaignService for LocalService {
         let registry = self.registry.clone();
         let db = self.db.clone();
         let id = job.clone();
-        let options = spec.options.clone();
-        let resume = spec.resume;
         self.threads.push(std::thread::spawn(move || {
             run_local_job(
-                &registry, &id, &db, &campaign, factory, &options, resume, controller, &handle,
+                &registry, &id, &db, store, &campaign, factory, &spec, controller, &handle,
             );
         }));
         Ok(job)
@@ -794,18 +807,19 @@ impl CampaignService for LocalService {
     }
 }
 
-/// One local job, on its own thread: open the store, journal, run the
-/// campaign with a progress forwarder pumping runner events into the
-/// registry, snapshot, and emit the terminal event.
+/// One local job, on its own thread: run the campaign against the
+/// journaled store [`open_job_store`] opened, with a progress forwarder
+/// pumping runner events into the registry, checkpoint, and emit the
+/// terminal event.
 #[allow(clippy::too_many_arguments)]
 fn run_local_job(
     registry: &Arc<JobRegistry>,
     job: &str,
     db: &Path,
+    mut store: GoofiStore,
     campaign: &Campaign,
     factory: TargetFactory,
-    options: &ExecOptions,
-    resume: bool,
+    spec: &JobSpec,
     controller: Controller,
     handle: &Arc<ControlHandle>,
 ) {
@@ -825,19 +839,18 @@ fn run_local_job(
     };
 
     let outcome = (|| -> Result<JobSummary> {
-        let mut store = LocalService::load_store(db)?;
-        store.enable_journal(db)?;
+        let options = &spec.options;
         let runner = CampaignRunner::from_factory(|| factory(), campaign)
             .workers(options.workers)
             .options(options.run_options())
             .observer(&controller);
-        let runner = if resume {
+        let runner = if spec.resume {
             runner.resume_from(&mut store)
         } else {
             runner.store(&mut store)
         };
         let result = runner.run()?;
-        // Snapshot the full database; supersedes (and empties) the journal.
+        // Checkpoint: the data file becomes current and the WAL empties.
         store.save(db)?;
         Ok(JobSummary::from_result(&result, options.workers))
     })();
@@ -906,6 +919,12 @@ mod tests {
         let mut svc = LocalService::new(&db, mini_provider());
         let spec = JobSpec::new(CampaignRef::Inline(mini_campaign("svc-c1")));
         let job = svc.submit(spec).expect("submit");
+        // Submit created the file; the job must journal into it in place.
+        let inode = || {
+            use std::os::unix::fs::MetadataExt;
+            std::fs::metadata(&db).expect("submit created the db").ino()
+        };
+        let submitted = inode();
         let stream = svc.watch(&job, true).expect("watch");
         let mut sink = Recorder(Vec::new());
         let summary = drain(stream, &mut sink).expect("job completes");
@@ -921,6 +940,7 @@ mod tests {
             sink.0.last(),
             Some(ServiceEvent::Completed { .. })
         ));
+        assert_eq!(inode(), submitted, "the job replaced the database file");
 
         // The DB is durable: a second service resumes to the same state.
         let store = GoofiStore::load(&db).expect("saved db loads");

@@ -141,6 +141,11 @@ pub struct GoofiStore {
     /// loses at most the in-flight experiment (see
     /// [`goofi_db::storage::PagedEngine`]).
     engine: Option<PagedEngine>,
+    /// The engine [`GoofiStore::load`] recovered a paged file through,
+    /// kept only while `db` still matches that file exactly, so that
+    /// [`GoofiStore::enable_journal`] can journal into it in place. The
+    /// first mutation drops it.
+    loaded: Option<PagedEngine>,
 }
 
 impl GoofiStore {
@@ -200,7 +205,11 @@ impl GoofiStore {
         db.create_table(telemetry_schema()).expect("fresh database");
         db.create_table(static_analysis_schema())
             .expect("fresh database");
-        GoofiStore { db, engine: None }
+        GoofiStore {
+            db,
+            engine: None,
+            loaded: None,
+        }
     }
 
     /// Direct access to the database, for the analysis phase's "tailor made
@@ -209,8 +218,11 @@ impl GoofiStore {
         &self.db
     }
 
-    /// Mutable database access (ad-hoc SQL).
+    /// Mutable database access (ad-hoc SQL). Every mutation of the store
+    /// goes through here: the file [`GoofiStore::load`] read no longer
+    /// matches, so its engine cannot be journaled into in place.
     pub fn database_mut(&mut self) -> &mut Database {
+        self.loaded = None;
         &mut self.db
     }
 
@@ -232,6 +244,8 @@ impl GoofiStore {
                 return Ok(());
             }
         }
+        // The rewrite replaces the file a loaded engine may have open.
+        self.loaded = self.loaded.take().filter(|e| e.path() != path);
         write_database(path, &self.db)?;
         Ok(())
     }
@@ -247,8 +261,12 @@ impl GoofiStore {
     /// [`GoofiError::Database`] on I/O or schema failure.
     pub fn load(path: impl AsRef<Path>) -> Result<GoofiStore> {
         let path = path.as_ref();
+        let mut loaded = None;
         let mut db = if is_paged_file(path) {
-            PagedEngine::open(path)?.to_database()?
+            let mut engine = PagedEngine::open(path)?;
+            let db = engine.to_database()?;
+            loaded = Some(engine);
+            db
         } else {
             Database::load(path)?
         };
@@ -270,18 +288,39 @@ impl GoofiStore {
             LSS_INDEX,
             &["campaignName", "experimentName"],
         )?;
-        Ok(GoofiStore { db, engine: None })
+        // Keep the engine only if the migrations above left the schema
+        // exactly as the file's catalog has it.
+        let loaded = loaded.filter(|engine| {
+            let names = db.table_names();
+            engine.table_names() == names
+                && names.iter().all(|name| {
+                    db.table(name)
+                        .is_ok_and(|t| engine.schema_of(name) == Some(t.schema()))
+                })
+        });
+        Ok(GoofiStore {
+            db,
+            engine: None,
+            loaded,
+        })
     }
 
-    /// Turns on streaming persistence: the database is written to
-    /// `db_path` in the paged format and every subsequent mutation is
-    /// mirrored into it through the engine's write-ahead log (one
-    /// length-prefixed, checksummed record per change, flushed). A
-    /// checkpointed campaign writes O(rows) bytes total instead of one
-    /// full snapshot per experiment, and a crashed campaign is recovered
-    /// by [`GoofiStore::load`] + resume. Any stale legacy `<db_path>.journal`
-    /// sidecar is removed — its rows were replayed at load time and are
-    /// captured by the paged rewrite.
+    /// Turns on streaming persistence: every subsequent mutation is
+    /// mirrored into the paged file at `db_path` through the engine's
+    /// write-ahead log (one length-prefixed, checksummed record per
+    /// change, flushed). A checkpointed campaign writes O(rows) bytes
+    /// total instead of one full snapshot per experiment, and a crashed
+    /// campaign is recovered by [`GoofiStore::load`] + resume.
+    ///
+    /// A store [loaded](GoofiStore::load) from the paged file at
+    /// `db_path` and not changed since journals into that file in place,
+    /// through the engine `load` already opened (its recovered WAL tail
+    /// included). Otherwise — a store built with [`GoofiStore::new`], a
+    /// legacy JSON input, a schema `load` had to migrate, or mutations
+    /// made before this call — the database is first rewritten to
+    /// `db_path` as a compact paged file. Any stale legacy
+    /// `<db_path>.journal` sidecar is removed — its rows were replayed at
+    /// load time.
     ///
     /// # Errors
     ///
@@ -294,11 +333,13 @@ impl GoofiStore {
                 return Ok(());
             }
         }
-        // Rewriting (rather than opening in place) guarantees the on-disk
-        // state matches `self.db` even when the caller mutated the store
-        // between load and enable.
-        write_database(path, &self.db)?;
         let _ = std::fs::remove_file(journal_path(path));
+        if let Some(engine) = self.loaded.take().filter(|e| e.path() == path) {
+            self.engine = Some(engine);
+            return Ok(());
+        }
+        // Rewriting guarantees the on-disk state matches `self.db`.
+        write_database(path, &self.db)?;
         self.engine = Some(PagedEngine::open(path)?);
         Ok(())
     }
@@ -331,10 +372,10 @@ impl GoofiStore {
                 .filter(Expr::col("testCardName").eq(Expr::lit(config.name.as_str()))),
         )?;
         if existing.is_empty() {
-            self.db
+            self.database_mut()
                 .insert(Insert::into("TargetSystemData", row.clone()))?;
         } else {
-            self.db.update(goofi_db::Update {
+            self.database_mut().update(goofi_db::Update {
                 table: "TargetSystemData".into(),
                 assignments: vec![
                     ("description".into(), Expr::lit(config.description.as_str())),
@@ -409,7 +450,8 @@ impl GoofiStore {
             campaign.log_mode.name().into(),
             json.into(),
         ];
-        self.db.insert(Insert::into("CampaignData", row.clone()))?;
+        self.database_mut()
+            .insert(Insert::into("CampaignData", row.clone()))?;
         if let Some(engine) = self.engine.as_mut() {
             engine.append("CampaignData", &row)?;
         }
@@ -477,7 +519,7 @@ impl GoofiStore {
             data.into(),
             record.state_vector.clone().into(),
         ];
-        self.db
+        self.database_mut()
             .insert(Insert::into("LoggedSystemState", row.clone()))?;
         if let Some(engine) = self.engine.as_mut() {
             engine.append("LoggedSystemState", &row)?;
@@ -530,18 +572,18 @@ impl GoofiStore {
     ///
     /// [`GoofiError::Database`] — the campaign row must exist.
     pub fn put_telemetry(&mut self, telemetry: &CampaignTelemetry) -> Result<()> {
-        self.db.delete(Delete {
+        self.database_mut().delete(Delete {
             table: "CampaignTelemetry".into(),
             filter: Some(Expr::col("campaignName").eq(Expr::lit(telemetry.campaign.as_str()))),
         })?;
-        self.db.vacuum("CampaignTelemetry")?;
+        self.database_mut().vacuum("CampaignTelemetry")?;
         let row = vec![
             telemetry.campaign.as_str().into(),
             (telemetry.workers as i64).into(),
             (telemetry.wall_nanos as i64).into(),
             telemetry.to_json().into(),
         ];
-        self.db
+        self.database_mut()
             .insert(Insert::into("CampaignTelemetry", row.clone()))?;
         if let Some(engine) = self.engine.as_mut() {
             engine.delete_by_pk("CampaignTelemetry", &row[0])?;
@@ -578,14 +620,14 @@ impl GoofiStore {
     ///
     /// [`GoofiError::Database`].
     pub fn clear_telemetry(&mut self, campaign: &str) -> Result<()> {
-        self.db.delete(Delete {
+        self.database_mut().delete(Delete {
             table: "CampaignTelemetry".into(),
             filter: Some(Expr::col("campaignName").eq(Expr::lit(campaign))),
         })?;
         // Leave no tombstone behind: a cleared table serialises exactly
         // like one that never held the rollup (byte-identity proofs rely
         // on this).
-        self.db.vacuum("CampaignTelemetry")?;
+        self.database_mut().vacuum("CampaignTelemetry")?;
         if let Some(engine) = self.engine.as_mut() {
             engine.delete_by_pk("CampaignTelemetry", &Value::from(campaign))?;
         }
@@ -609,17 +651,17 @@ impl GoofiStore {
         campaign: &str,
         analysis: &crate::staticanalysis::StaticAnalysis,
     ) -> Result<()> {
-        self.db.delete(Delete {
+        self.database_mut().delete(Delete {
             table: "StaticAnalysisData".into(),
             filter: Some(Expr::col("campaignName").eq(Expr::lit(campaign))),
         })?;
-        self.db.vacuum("StaticAnalysisData")?;
+        self.database_mut().vacuum("StaticAnalysisData")?;
         let row = vec![
             campaign.into(),
             (analysis.horizon as i64).into(),
             analysis.to_json().into(),
         ];
-        self.db
+        self.database_mut()
             .insert(Insert::into("StaticAnalysisData", row.clone()))?;
         if let Some(engine) = self.engine.as_mut() {
             engine.delete_by_pk("StaticAnalysisData", &row[0])?;
@@ -659,11 +701,11 @@ impl GoofiStore {
     ///
     /// [`GoofiError::Database`].
     pub fn clear_static_analysis(&mut self, campaign: &str) -> Result<()> {
-        self.db.delete(Delete {
+        self.database_mut().delete(Delete {
             table: "StaticAnalysisData".into(),
             filter: Some(Expr::col("campaignName").eq(Expr::lit(campaign))),
         })?;
-        self.db.vacuum("StaticAnalysisData")?;
+        self.database_mut().vacuum("StaticAnalysisData")?;
         if let Some(engine) = self.engine.as_mut() {
             engine.delete_by_pk("StaticAnalysisData", &Value::from(campaign))?;
         }
@@ -941,6 +983,132 @@ mod tests {
         assert!(store.database().table("StaticAnalysisData").is_ok());
         assert_eq!(store.get_static_analysis("c1").unwrap(), None);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A fresh path for a paged database (and no WAL beside it).
+    fn paged_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("goofi_store_inplace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(wal_path(&path));
+        path
+    }
+
+    /// A paged database holding the target and campaign `c1`.
+    fn seeded_paged(name: &str) -> std::path::PathBuf {
+        let path = paged_path(name);
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        store.save(&path).unwrap();
+        path
+    }
+
+    fn inode(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(path).unwrap().ino()
+    }
+
+    fn experiment_names(path: &Path, campaign: &str) -> Vec<String> {
+        let store = GoofiStore::load(path).unwrap();
+        let rows = store.experiments_of(campaign).unwrap();
+        rows.into_iter().map(|r| r.name).collect()
+    }
+
+    #[test]
+    fn unmodified_load_journals_in_place() {
+        let path = seeded_paged("in_place.db");
+        let before = inode(&path);
+        {
+            let mut store = GoofiStore::load(&path).unwrap();
+            store.enable_journal(&path).unwrap();
+            assert_eq!(inode(&path), before, "enable_journal replaced the file");
+            store.log_experiment(&record("c1/001", None)).unwrap();
+            store.log_experiment(&record("c1/002", None)).unwrap();
+        } // crash: the rows live only in the WAL
+        assert_eq!(experiment_names(&path, "c1"), ["c1/001", "c1/002"]);
+        assert_eq!(inode(&path), before);
+    }
+
+    #[test]
+    fn mutation_before_journaling_takes_the_rewrite() {
+        let path = seeded_paged("mutated.db");
+        let before = inode(&path);
+        let mut c2 = campaign();
+        c2.name = "c2".into();
+        {
+            let mut store = GoofiStore::load(&path).unwrap();
+            store.put_campaign(&c2).unwrap();
+            store.enable_journal(&path).unwrap();
+            assert_ne!(
+                inode(&path),
+                before,
+                "the pre-journal mutation was not rewritten"
+            );
+            let mut r = record("c2/001", None);
+            r.campaign = "c2".into();
+            store.log_experiment(&r).unwrap();
+        } // crash
+        let restored = GoofiStore::load(&path).unwrap();
+        assert_eq!(restored.get_campaign("c2").unwrap(), c2);
+        assert_eq!(experiment_names(&path, "c2"), ["c2/001"]);
+    }
+
+    #[test]
+    fn save_before_journaling_is_not_undone_by_the_loaded_engine() {
+        // `save` rewrites the file the loaded engine has open; journaling
+        // into that stale engine would append to unlinked files.
+        let path = seeded_paged("saved.db");
+        {
+            let mut store = GoofiStore::load(&path).unwrap();
+            store.save(&path).unwrap();
+            store.enable_journal(&path).unwrap();
+            store.log_experiment(&record("c1/001", None)).unwrap();
+        } // crash
+        assert_eq!(experiment_names(&path, "c1"), ["c1/001"]);
+    }
+
+    #[test]
+    fn migrated_paged_file_journals_telemetry() {
+        // A paged file written before CampaignTelemetry and
+        // StaticAnalysisData existed: `load` creates both, so journaling
+        // must rewrite the file to give them a place on disk.
+        let mut legacy = Database::new();
+        for schema_of in ["TargetSystemData", "CampaignData", "LoggedSystemState"] {
+            let donor = GoofiStore::new();
+            let schema = donor.database().table(schema_of).unwrap().schema().clone();
+            legacy.create_table(schema).unwrap();
+        }
+        let path = paged_path("migrated.db");
+        write_database(&path, &legacy).unwrap();
+        let rollup = telemetry_rollup("c1");
+        {
+            let mut store = GoofiStore::load(&path).unwrap();
+            store.enable_journal(&path).unwrap();
+            store.put_target(&target_config()).unwrap();
+            store.put_campaign(&campaign()).unwrap();
+            store.put_telemetry(&rollup).unwrap();
+        } // crash
+        let restored = GoofiStore::load(&path).unwrap();
+        assert_eq!(restored.get_telemetry("c1").unwrap(), Some(rollup));
+        assert_eq!(restored.get_static_analysis("c1").unwrap(), None);
+    }
+
+    #[test]
+    fn crashed_tail_survives_a_second_in_place_job() {
+        let path = seeded_paged("two_crashes.db");
+        {
+            let mut store = GoofiStore::load(&path).unwrap();
+            store.enable_journal(&path).unwrap();
+            store.log_experiment(&record("c1/001", None)).unwrap();
+        } // the first job crashes
+        {
+            let mut store = GoofiStore::load(&path).unwrap();
+            store.enable_journal(&path).unwrap();
+            store.log_experiment(&record("c1/002", None)).unwrap();
+        } // so does the second, resumed one
+        assert_eq!(experiment_names(&path, "c1"), ["c1/001", "c1/002"]);
     }
 
     fn static_analysis() -> crate::staticanalysis::StaticAnalysis {

@@ -147,8 +147,7 @@ impl PagedEngine {
         put_u32(hdr, H_VERSION, FORMAT_VERSION);
         put_u32(hdr, H_PAGE_SIZE, PAGE_SIZE as u32);
         put_u32(hdr, H_PAGE_COUNT, 1);
-        let mut wal = Wal::open(&wal_path(path))?;
-        wal.truncate()?;
+        let wal = Wal::open(&wal_path(path), 0)?;
         Ok(PagedEngine {
             disk,
             pool,
@@ -163,11 +162,12 @@ impl PagedEngine {
     /// committed checkpoint image set if one is present, then replay
     /// the logical record tail (tolerating a torn final record).
     /// Recovery mutates only the buffer pool — the data file is not
-    /// written until the next checkpoint.
+    /// written until the next checkpoint. The WAL is cut back to the
+    /// prefix it replayed, so later appends extend exactly that history.
     pub fn open(path: &Path) -> Result<PagedEngine, DbError> {
         let mut disk = DiskManager::open(path)?;
         let mut pool = BufferPool::new();
-        let records = Wal::read_all(&wal_path(path))?;
+        let (records, valid_len) = Wal::read_all(&wal_path(path))?;
         let last_commit = records.iter().rposition(|r| matches!(r, WalRecord::Commit));
         if let Some(ci) = last_commit {
             for rec in &records[..ci] {
@@ -203,7 +203,7 @@ impl PagedEngine {
             )
         };
         disk.set_page_count(page_count);
-        let wal = Wal::open(&wal_path(path))?;
+        let wal = Wal::open(&wal_path(path), valid_len)?;
         let mut engine = PagedEngine {
             disk,
             pool,
@@ -648,7 +648,7 @@ impl PagedEngine {
             page_count: self.disk.page_count(),
             file_bytes: self.disk.file_len()?,
             wal_bytes: self.wal.size()?,
-            wal_records: Wal::read_all(self.wal.path())?.len(),
+            wal_records: Wal::read_all(self.wal.path())?.0.len(),
             tables,
         })
     }
@@ -782,6 +782,39 @@ mod tests {
         assert_eq!(e.rows("T").unwrap().len(), 25);
         e.checkpoint().unwrap();
         assert_eq!(std::fs::metadata(wal_path(&path)).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_survive_the_next_recovery() {
+        let path = fresh("torn_append.gdb");
+        let mut e = PagedEngine::create(&path).unwrap();
+        e.create_table(&demo_schema()).unwrap();
+        e.checkpoint().unwrap();
+        for i in 0..5 {
+            e.append("T", &row(i, 8)).unwrap();
+        }
+        drop(e);
+        // Tear the last of the five records, as a crash mid-append would.
+        let wal = wal_path(&path);
+        let len = std::fs::metadata(&wal).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&wal)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let mut e = PagedEngine::open(&path).unwrap();
+        assert_eq!(e.rows("T").unwrap().len(), 4);
+        e.append("T", &row(5, 8)).unwrap();
+        drop(e); // crash again: the new row lives only in the WAL
+        let mut e = PagedEngine::open(&path).unwrap();
+        let rows = e.rows("T").unwrap();
+        assert_eq!(
+            rows.len(),
+            5,
+            "the row appended after the torn tail was lost"
+        );
+        assert_eq!(rows[4], row(5, 8));
     }
 
     #[test]

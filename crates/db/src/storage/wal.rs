@@ -143,8 +143,11 @@ const WAL_BUF: usize = 64 * 1024;
 
 impl Wal {
     /// Opens (creating if missing) the WAL at `path`, positioned for
-    /// appends at the current end.
-    pub fn open(path: &Path) -> Result<Wal, DbError> {
+    /// appends right after its first `valid_len` bytes — the valid
+    /// prefix [`Wal::read_all`] measured. Anything beyond that prefix (a
+    /// torn or corrupt tail) is cut off first: replay stops there, so a
+    /// record appended after it could never be recovered.
+    pub fn open(path: &Path, valid_len: u64) -> Result<Wal, DbError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -152,6 +155,14 @@ impl Wal {
             .truncate(false)
             .open(path)
             .map_err(|e| DbError::Io(format!("open wal {}: {e}", path.display())))?;
+        let len = file
+            .metadata()
+            .map_err(|e| DbError::Io(format!("stat wal: {e}")))?
+            .len();
+        if len > valid_len {
+            file.set_len(valid_len)
+                .map_err(|e| DbError::Io(format!("wal truncate: {e}")))?;
+        }
         file.seek(SeekFrom::End(0))
             .map_err(|e| DbError::Io(format!("seek wal: {e}")))?;
         Ok(Wal {
@@ -209,15 +220,16 @@ impl Wal {
     }
 
     /// Reads every valid record from the WAL at `path`, stopping at the
-    /// first torn or corrupt one. A missing file reads as empty.
-    pub fn read_all(path: &Path) -> Result<Vec<WalRecord>, DbError> {
+    /// first torn or corrupt one, and returns them with the byte length
+    /// of that valid prefix. A missing file reads as empty.
+    pub fn read_all(path: &Path) -> Result<(Vec<WalRecord>, u64), DbError> {
         let mut bytes = Vec::new();
         match File::open(path) {
             Ok(mut f) => {
                 f.read_to_end(&mut bytes)
                     .map_err(|e| DbError::Io(format!("read wal: {e}")))?;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
             Err(e) => return Err(DbError::Io(format!("open wal {}: {e}", path.display()))),
         }
         let mut records = Vec::new();
@@ -238,7 +250,7 @@ impl Wal {
             }
             pos += 8 + len;
         }
-        Ok(records)
+        Ok((records, pos as u64))
     }
 }
 
@@ -272,19 +284,21 @@ mod tests {
             },
             WalRecord::Commit,
         ];
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = Wal::open(&path, 0).unwrap();
         for r in &recs {
             wal.append(r).unwrap();
         }
         drop(wal);
-        assert_eq!(Wal::read_all(&path).unwrap(), recs);
+        let (read, valid) = Wal::read_all(&path).unwrap();
+        assert_eq!(read, recs);
+        assert_eq!(valid, std::fs::metadata(&path).unwrap().len());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_tail_reads_as_prefix() {
         let path = tmp("torn.wal");
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = Wal::open(&path, 0).unwrap();
         for i in 0..5u8 {
             wal.append(&WalRecord::Insert {
                 table: "T".into(),
@@ -296,14 +310,19 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         // Truncate mid-record: only the complete prefix survives.
         std::fs::write(&path, &full[..full.len() - 17]).unwrap();
-        let recs = Wal::read_all(&path).unwrap();
+        let (recs, valid) = Wal::read_all(&path).unwrap();
         assert_eq!(recs.len(), 4);
+        // Each record is 8 framing bytes + 1 type + 4 name len + "T" + 40.
+        assert_eq!(valid, 4 * (8 + 1 + 4 + 1 + 40));
         // Corrupt a payload byte in the final record: same prefix.
         let mut corrupt = full.clone();
         let n = corrupt.len();
         corrupt[n - 3] ^= 0xFF;
         std::fs::write(&path, &corrupt).unwrap();
-        assert_eq!(Wal::read_all(&path).unwrap().len(), 4);
+        assert_eq!(Wal::read_all(&path).unwrap(), (recs, valid));
+        // Opening for appends cuts the tail back to the valid prefix.
+        drop(Wal::open(&path, valid).unwrap());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), valid);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -312,6 +331,7 @@ mod tests {
         assert!(
             Wal::read_all(Path::new("/tmp/goofi-definitely-missing.wal"))
                 .unwrap()
+                .0
                 .is_empty()
         );
     }

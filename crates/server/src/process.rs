@@ -9,8 +9,8 @@
 //! outstanding chunk re-issued to the surviving pool.
 
 use goofi_core::service::{
-    CampaignRef, CampaignService, EventStream, JobId, JobRegistry, JobSpec, JobStatus, JobSummary,
-    ServiceEvent,
+    open_job_store, CampaignService, EventStream, JobId, JobRegistry, JobSpec, JobStatus,
+    JobSummary, ServiceEvent,
 };
 use goofi_core::store::GoofiStore;
 use goofi_core::{
@@ -19,7 +19,7 @@ use goofi_core::{
 use goofi_net::{read_frame, write_frame, IndexedRecord, NetError, WorkerRequest, WorkerResponse};
 use goofi_targets::standard_factory;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -111,14 +111,6 @@ impl ProcessService {
             let _ = t.join();
         }
     }
-
-    fn load_store(db: &Path) -> Result<GoofiStore> {
-        if db.exists() {
-            GoofiStore::load(db)
-        } else {
-            Ok(GoofiStore::new())
-        }
-    }
 }
 
 impl Drop for ProcessService {
@@ -129,35 +121,9 @@ impl Drop for ProcessService {
 
 impl CampaignService for ProcessService {
     fn submit(&mut self, spec: JobSpec) -> Result<JobId> {
-        let mut store = Self::load_store(&self.config.db)?;
-        let campaign = match &spec.campaign {
-            CampaignRef::Name(name) => store.get_campaign(name)?,
-            CampaignRef::Inline(c) => c.clone(),
-            other => {
-                return Err(GoofiError::Service(format!(
-                    "unsupported campaign reference {other:?}"
-                )))
-            }
-        };
-        // Validate eagerly: unknown workloads are a submit error, not a
-        // mid-job event. The probe also supplies the target config an
-        // inline campaign's foreign key needs.
-        let factory = standard_factory(&campaign)?;
-        if let CampaignRef::Inline(c) = &spec.campaign {
-            let mut dirty = false;
-            if store.get_target(&c.target).is_err() {
-                let probe = factory();
-                store.put_target(&probe.describe())?;
-                dirty = true;
-            }
-            if store.get_campaign(&c.name).is_err() {
-                store.put_campaign(c)?;
-                dirty = true;
-            }
-            if dirty {
-                store.save(&self.config.db)?;
-            }
-        }
+        // The factory only validates here: the workers build their own.
+        let (store, campaign, _) =
+            open_job_store(&self.config.db, &spec.campaign, &standard_factory)?;
         let job = self.registry.create(&campaign.name);
         let cancel = Arc::new(AtomicBool::new(false));
         self.cancels
@@ -168,12 +134,9 @@ impl CampaignService for ProcessService {
         let registry = self.registry.clone();
         let config = self.config.clone();
         let id = job.clone();
-        let options = spec.options.clone();
-        let resume = spec.resume;
         self.threads.push(std::thread::spawn(move || {
-            let outcome = run_process_job(
-                &registry, &id, &config, &campaign, &options, resume, &cancel,
-            );
+            let outcome =
+                run_process_job(&registry, &id, &config, store, &campaign, &spec, &cancel);
             match outcome {
                 Ok(summary) => registry.emit(
                     &id,
@@ -390,19 +353,19 @@ impl FromNet for GoofiError {
     }
 }
 
-/// One multi-process job. Returns the summary; the caller emits the
+/// One multi-process job against the journaled store
+/// [`open_job_store`] opened. Returns the summary; the caller emits the
 /// terminal event.
 fn run_process_job(
     registry: &Arc<JobRegistry>,
     job: &str,
     config: &ServerConfig,
+    mut store: GoofiStore,
     campaign: &Campaign,
-    options: &ExecOptions,
-    resume: bool,
+    spec: &JobSpec,
     cancel: &Arc<AtomicBool>,
 ) -> Result<JobSummary> {
-    let mut store = ProcessService::load_store(&config.db)?;
-    store.enable_journal(&config.db)?;
+    let (options, resume) = (&spec.options, spec.resume);
 
     // The worklist: all indices, minus rows already stored when resuming.
     let total = campaign.experiments;
@@ -599,9 +562,9 @@ fn run_process_job(
             },
         );
     }
-
     // Trailing tables, in the sequential runner's order: static analysis,
-    // then the snapshot (which supersedes the journal).
+    // then the checkpoint (which makes the data file current and empties
+    // the WAL).
     if let Some(info) = &plan {
         if !stopped {
             if let Some(analysis) = &info.static_analysis {

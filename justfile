@@ -69,3 +69,10 @@ bench-e15:
 # (kill -9 mid-campaign, cancel/resume, byte-identity per worker count).
 test-server:
     cargo test --release --test server_recovery
+
+# The campaign benchmark that BENCHMARK.json declares: one untraced,
+# closed-loop run of `workload` (exec-sort64, decided-sort16 or
+# served-sort16) under `seed`. The last stdout line is the JSON result;
+# metrics are defined in campaignbench/METRICS.md.
+bench workload seed:
+    cargo run --release --offline --quiet --manifest-path campaignbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds 25 --trace 0

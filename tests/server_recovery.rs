@@ -14,6 +14,7 @@ use goofi_core::{
 };
 use goofi_server::{ProcessService, ServerConfig};
 use goofi_targets::standard_factory;
+use std::os::unix::fs::MetadataExt;
 use std::path::PathBuf;
 
 fn campaign(name: &str, experiments: usize) -> Campaign {
@@ -81,6 +82,7 @@ fn multi_process_runs_are_byte_identical() {
     for workers in [1usize, 4] {
         let db = tmp(&format!("mp{workers}.db"));
         seeded_db(&db, &c);
+        let seeded_inode = std::fs::metadata(&db).unwrap().ino();
         let mut svc = ProcessService::new(server_config(&db, workers));
         let job = svc
             .submit(JobSpec::new(CampaignRef::Name(c.name.clone())))
@@ -98,6 +100,11 @@ fn multi_process_runs_are_byte_identical() {
             .count();
         assert_eq!(spawned, workers, "one Ready worker per slot");
         svc.join();
+        assert_eq!(
+            std::fs::metadata(&db).unwrap().ino(),
+            seeded_inode,
+            "{workers}-worker job replaced the database file instead of opening it once"
+        );
         let bytes = std::fs::read(&db).unwrap();
         assert_eq!(
             bytes, reference,
