@@ -4,18 +4,25 @@
 //! the paper's Section 3.3 flow: read campaign data, make a reference
 //! run, then execute every experiment, logging each to
 //! `LoggedSystemState` and reporting progress to the Fig. 7 window
-//! equivalent. One builder covers every execution shape:
+//! equivalent. Every campaign, fresh or resumed and at any worker count,
+//! goes through the same three parts:
 //!
-//! * `workers(1)` (the default) runs sequentially on a single target.
-//! * `workers(n)` with [`CampaignRunner::from_factory`] runs the
-//!   work-stealing pool (experiment E8): workers each drive their own
-//!   target instance, claiming work dynamically off a shared atomic
-//!   cursor while a dedicated writer thread streams finished rows to the
-//!   store and services the Fig. 7 controls.
-//! * `resume_from(store)` restarts an interrupted campaign, sequentially
-//!   or across the same worker pool.
-//! * [`Scheduler::Static`] preserves the old round-robin scheduler as the
-//!   E8 comparison baseline.
+//! * **Plan.** One builder decides every fault index once: already
+//!   stored (resume), pruned, predicted, fanned out from its equivalence
+//!   class's representative, or executed. It takes the reference run from
+//!   the store when one is there and builds the checkpoint cache over the
+//!   executed indices only. A fresh run is a resume with nothing stored;
+//!   [`plan_campaign`], which `goofi-server` worker processes call, is the
+//!   same builder with class execution off and no store.
+//! * **Executor.** `workers(1)` (the default) produces every row on the
+//!   calling thread. `workers(n)` with [`CampaignRunner::from_factory`]
+//!   runs a work-stealing pool (experiment E8): each worker drives its own
+//!   target and claims chunks of indices off a shared atomic cursor.
+//! * **Writer.** One writer logs rows to the store in fault-list order (a
+//!   reorder buffer, so every worker count writes a byte-identical
+//!   database), emits progress events and applies the operator's
+//!   pause/resume/stop commands. The in-thread executor calls it inline;
+//!   the pool feeds it over a channel on a dedicated thread.
 //!
 //! When [`RunOptions::telemetry`] is enabled the runner installs a
 //! [`goofi_telemetry::Recorder`] (thread-locally, on every campaign
@@ -34,26 +41,12 @@ use crate::preinject::LivenessAnalysis;
 use crate::progress::{Command, Controller, ProgressEvent};
 use crate::staticanalysis::{ClassKind, Pruning, StaticAnalysis};
 use crate::store::{reference_experiment_name, ExperimentData, ExperimentRecord, GoofiStore};
-use crate::target::TargetSystemInterface;
+use crate::target::{TargetSystemConfig, TargetSystemInterface};
 use goofi_telemetry::{names, CampaignTelemetry, Recorder, TelemetryMode, WorkerTelemetry};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Which parallel scheduler a multi-worker campaign uses.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Work-stealing (the default): workers claim chunks of experiment
-    /// indices off a shared atomic cursor; a writer thread streams rows
-    /// in fault-list order. Supports stores, observers and resume.
-    #[default]
-    WorkStealing,
-    /// The old round-robin scheduler (`i % workers`), kept as the E8
-    /// ablation baseline. Rows are logged only after the whole campaign;
-    /// observers and resume are not supported.
-    Static,
-}
 
 /// Tuning knobs for campaign execution that do not change results, only
 /// how they are obtained.
@@ -74,14 +67,10 @@ pub struct RunOptions {
     /// reset. Byte-identical results either way; targets or campaigns the
     /// cache cannot serve (no snapshot support, detail mode, pre-runtime
     /// SWIFI) silently fall back to cold starts. Defaults to `true`.
-    /// Ignored by [`Scheduler::Static`], which always cold-starts.
     pub checkpoint: bool,
     /// How much telemetry to record. Defaults to [`TelemetryMode::Off`],
     /// which costs one thread-local read per instrumentation site.
     pub telemetry: TelemetryMode,
-    /// Which parallel scheduler to use when `workers > 1`. Defaults to
-    /// [`Scheduler::WorkStealing`].
-    pub scheduler: Scheduler,
     /// How experiments are pruned before injection. Defaults to
     /// [`Pruning::Trace`], which honours the campaign's
     /// `pre_injection_analysis` flag with trace-based liveness.
@@ -99,7 +88,6 @@ pub struct RunOptions {
     /// representative's. Logged rows are byte-identical with the knob on
     /// or off. Requires a target with a static analyzer (silently falls
     /// back to executing everything otherwise). Defaults to `false`.
-    /// Ignored by [`Scheduler::Static`], which always executes directly.
     pub class_execution: bool,
     /// Synthesise the rows of faults whose verdict the propagation
     /// analysis proved predictable (the corruption activates but washes
@@ -118,7 +106,6 @@ impl Default for RunOptions {
         RunOptions {
             checkpoint: true,
             telemetry: TelemetryMode::Off,
-            scheduler: Scheduler::WorkStealing,
             pruning: Pruning::Trace,
             class_execution: false,
             prediction: false,
@@ -127,8 +114,8 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The default options: checkpointing on, telemetry off,
-    /// work-stealing, trace-based pruning.
+    /// The default options: checkpointing on, telemetry off, trace-based
+    /// pruning.
     pub fn new() -> RunOptions {
         RunOptions::default()
     }
@@ -142,12 +129,6 @@ impl RunOptions {
     /// Sets the telemetry recording mode.
     pub fn telemetry(mut self, mode: TelemetryMode) -> RunOptions {
         self.telemetry = mode;
-        self
-    }
-
-    /// Sets the parallel scheduler.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> RunOptions {
-        self.scheduler = scheduler;
         self
     }
 
@@ -224,13 +205,16 @@ impl Telemetry {
     }
 }
 
+/// A target factory shared by the worker pool.
+type Factory<'a> = dyn Fn() -> Box<dyn TargetSystemInterface> + Sync + 'a;
+
 /// Where experiment targets come from.
 enum TargetSource<'a> {
     /// One caller-owned target: sequential execution only.
     Single(&'a mut dyn TargetSystemInterface),
-    /// A factory producing one target per worker (plus scratch/pilot
-    /// targets); required for `workers > 1`.
-    Factory(Box<dyn Fn() -> Box<dyn TargetSystemInterface> + Sync + 'a>),
+    /// A factory producing one target per worker (plus the scratch target
+    /// the plan is built on); required for `workers > 1`.
+    Factory(Box<Factory<'a>>),
 }
 
 /// The single campaign entry point: a builder selecting target source,
@@ -307,7 +291,8 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Sets the execution options (checkpointing, telemetry, scheduler).
+    /// Sets the execution options (checkpointing, telemetry, pruning,
+    /// class execution, prediction).
     pub fn options(mut self, options: RunOptions) -> Self {
         self.options = options;
         self
@@ -339,15 +324,16 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Runs the campaign.
+    /// Runs the campaign: builds the plan, hands it to the in-thread
+    /// executor (one worker) or the work-stealing pool (more), then
+    /// classifies the runs.
     ///
     /// # Errors
     ///
     /// Campaign validation errors, target errors, and database errors;
     /// [`GoofiError::Campaign`] for invalid configurations (zero workers,
-    /// multiple workers without a factory, static scheduling combined
-    /// with resume or an observer). The first worker error aborts a
-    /// parallel campaign.
+    /// multiple workers without a factory). The first worker error aborts
+    /// a parallel campaign.
     pub fn run(self) -> Result<CampaignResult> {
         let CampaignRunner {
             source,
@@ -366,132 +352,97 @@ impl<'a> CampaignRunner<'a> {
 
         let telemetry = Telemetry::new(options.telemetry);
         // Thread-locally scoped: concurrent campaigns (e.g. under
-        // `cargo test`) never observe each other's telemetry. Worker and
-        // writer threads install their own guards in the engine.
+        // `cargo test`) never observe each other's telemetry. Pool and
+        // writer threads install their own guards.
         let _guard = telemetry
             .as_ref()
             .map(|t| tracing::set_default(&t.dispatch));
         let wall = Instant::now();
-        let telemetry_ref = telemetry.as_ref();
 
-        let mut result = match options.scheduler {
-            Scheduler::Static => {
-                if resume {
-                    return Err(GoofiError::Campaign(
-                        "the static scheduler does not support resume; use Scheduler::WorkStealing"
-                            .into(),
-                    ));
-                }
-                if controller.is_some() {
-                    return Err(GoofiError::Campaign(
-                        "the static scheduler does not support progress observers; use Scheduler::WorkStealing".into(),
-                    ));
-                }
-                match source {
-                    TargetSource::Single(target) if workers <= 1 => sequential_run(
-                        target,
-                        campaign,
-                        store.as_deref_mut(),
-                        None,
-                        &options,
-                        telemetry_ref,
-                    ),
-                    TargetSource::Factory(factory) if workers <= 1 => {
-                        let mut target = factory();
-                        sequential_run(
-                            target.as_mut(),
-                            campaign,
-                            store.as_deref_mut(),
-                            None,
-                            &options,
-                            telemetry_ref,
-                        )
-                    }
-                    TargetSource::Single(_) => Err(needs_factory(workers)),
-                    TargetSource::Factory(factory) => static_run(
-                        factory.as_ref(),
-                        campaign,
-                        workers,
-                        store.as_deref_mut(),
-                        &options,
-                        telemetry_ref,
-                    ),
-                }
+        // The plan is built on the campaign's own target; for a factory
+        // that is a scratch target, which doubles as the checkpoint pilot.
+        let factory;
+        let mut scratch = None;
+        let target: &mut dyn TargetSystemInterface = match source {
+            TargetSource::Single(_) if workers > 1 => return Err(needs_factory(workers)),
+            TargetSource::Single(target) => {
+                factory = None;
+                target
             }
-            Scheduler::WorkStealing => match (source, resume) {
-                (TargetSource::Single(target), false) if workers <= 1 => sequential_run(
-                    target,
-                    campaign,
-                    store.as_deref_mut(),
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-                (TargetSource::Single(target), true) if workers <= 1 => sequential_resume(
-                    target,
-                    campaign,
-                    require_store(store.as_deref_mut())?,
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-                (TargetSource::Factory(factory), false) if workers <= 1 => {
-                    let mut target = factory();
-                    sequential_run(
-                        target.as_mut(),
-                        campaign,
-                        store.as_deref_mut(),
-                        controller,
-                        &options,
-                        telemetry_ref,
-                    )
-                }
-                (TargetSource::Factory(factory), true) if workers <= 1 => {
-                    let mut target = factory();
-                    sequential_resume(
-                        target.as_mut(),
-                        campaign,
-                        require_store(store.as_deref_mut())?,
-                        controller,
-                        &options,
-                        telemetry_ref,
-                    )
-                }
-                (TargetSource::Single(_), _) => Err(needs_factory(workers)),
-                (TargetSource::Factory(factory), false) => parallel_run(
-                    factory.as_ref(),
-                    campaign,
-                    workers,
-                    store.as_deref_mut(),
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-                (TargetSource::Factory(factory), true) => parallel_resume(
-                    factory.as_ref(),
-                    campaign,
-                    workers,
-                    require_store(store.as_deref_mut())?,
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-            },
-        }?;
+            TargetSource::Factory(f) => {
+                let target = scratch.insert(f()).as_mut();
+                factory = Some(f);
+                target
+            }
+        };
+        let (plan, slots) = build_plan(
+            target,
+            campaign,
+            &options,
+            store.as_deref().filter(|_| resume),
+        )?;
+        let writer = Writer::start(store.as_deref_mut(), controller, campaign, &plan)?;
+        let telemetry_ref = telemetry.as_ref();
+        let (slots, stopped) = if workers == 1 {
+            run_in_thread(target, campaign, &plan, slots, writer, telemetry_ref)?
+        } else {
+            // Every pool worker builds its own target.
+            drop(scratch);
+            let factory = factory
+                .as_deref()
+                .expect("a single target was rejected above for more than one worker");
+            run_pool(
+                factory,
+                campaign,
+                workers,
+                &plan,
+                slots,
+                writer,
+                telemetry_ref,
+            )?
+        };
+        let runs: Vec<ExperimentRun> = if stopped {
+            // Completed subset, in fault-list order (gaps where the stop hit).
+            slots.into_iter().flatten().collect()
+        } else {
+            slots
+                .into_iter()
+                .map(|s| s.ok_or_else(|| GoofiError::Protocol("missing experiment result".into())))
+                .collect::<Result<_>>()?
+        };
 
-        if let (Some(analysis), Some(store)) = (&result.static_analysis, store.as_deref_mut()) {
+        let stats = {
+            let _s = tracing::span(names::PHASE_CLASSIFICATION);
+            CampaignStats::from_runs(&plan.reference, &runs)
+        };
+        let CampaignPlan {
+            reference,
+            static_analysis,
+            ..
+        } = plan;
+        if let (Some(analysis), Some(store)) = (&static_analysis, store.as_deref_mut()) {
             store.put_static_analysis(&campaign.name, analysis)?;
         }
-        if let Some(t) = &telemetry {
-            let rollup =
-                t.recorder
-                    .finish(&campaign.name, workers, wall.elapsed().as_nanos() as u64);
-            if let Some(store) = store {
-                store.put_telemetry(&rollup)?;
+        let telemetry = match telemetry {
+            Some(t) => {
+                let rollup =
+                    t.recorder
+                        .finish(&campaign.name, workers, wall.elapsed().as_nanos() as u64);
+                if let Some(store) = store {
+                    store.put_telemetry(&rollup)?;
+                }
+                Some(rollup)
             }
-            result.telemetry = Some(rollup);
-        }
-        Ok(result)
+            None => None,
+        };
+        Ok(CampaignResult {
+            campaign: campaign.clone(),
+            reference,
+            runs,
+            stats,
+            telemetry,
+            static_analysis,
+        })
     }
 }
 
@@ -499,14 +450,6 @@ fn needs_factory(workers: usize) -> GoofiError {
     GoofiError::Campaign(format!(
         "{workers} workers each need their own target; construct the runner with CampaignRunner::from_factory"
     ))
-}
-
-fn require_store(store: Option<&mut GoofiStore>) -> Result<&mut GoofiStore> {
-    store.ok_or_else(|| {
-        GoofiError::Campaign(
-            "resume requires a database store (CampaignRunner::resume_from)".into(),
-        )
-    })
 }
 
 fn experiment_name(campaign: &str, index: usize) -> String {
@@ -582,6 +525,31 @@ fn predicted_run(reference: &ExperimentRun, fault: &PlannedFault) -> ExperimentR
     }
 }
 
+/// Builds the synthetic result of an equivalence-class member from its
+/// representative's executed run. Soundness: both faults mutate the same
+/// bits with the same model, and every target location is untouched by
+/// the fault-free execution between the two injection times (they share
+/// the location's first-touch window), so the post-injection trajectories
+/// — and therefore every logged observable — coincide exactly.
+///
+/// `activations_done` is copied from the representative so the member row
+/// round-trips through the store identically to a directly-executed one.
+fn fanned_run(representative: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
+    tracing::value(names::COUNTER_FANNED, 1);
+    ExperimentRun {
+        fault: Some(fault.clone()),
+        termination: representative.termination.clone(),
+        outputs: representative.outputs.clone(),
+        state: representative.state.clone(),
+        instructions: representative.instructions,
+        iterations: representative.iterations,
+        activations_done: representative.activations_done,
+        detail_trace: None,
+        pruned: false,
+        predicted: false,
+    }
+}
+
 /// How the campaign's prunability decisions are made, resolved once in
 /// [`prepare`] from [`RunOptions::pruning`] and the campaign flags.
 enum PruneInfo {
@@ -595,7 +563,7 @@ enum PruneInfo {
 }
 
 impl PruneInfo {
-    fn can_prune(&self, config: &crate::target::TargetSystemConfig, fault: &PlannedFault) -> bool {
+    fn can_prune(&self, config: &TargetSystemConfig, fault: &PlannedFault) -> bool {
         match self {
             PruneInfo::None => false,
             PruneInfo::Trace(liveness) => liveness.can_prune(config, fault),
@@ -613,38 +581,33 @@ impl PruneInfo {
     }
 }
 
-/// Central prunability decision, shared by every runner variant.
-fn compute_prunable(
-    faults: &[PlannedFault],
-    prune: &PruneInfo,
-    config: &crate::target::TargetSystemConfig,
-) -> Vec<bool> {
-    faults.iter().map(|f| prune.can_prune(config, f)).collect()
+/// Whether the campaign's technique and log mode lie inside the envelope
+/// that prediction and class execution are proved for: faults corrupt
+/// targets at their activation times and the outcome is observed through
+/// terminal state only.
+fn synthesis_envelope(campaign: &Campaign) -> bool {
+    matches!(
+        campaign.technique,
+        Technique::Scifi | Technique::SwifiRuntime
+    ) && campaign.log_mode == LogMode::Normal
 }
 
-/// Central prediction decision, shared by every runner variant: which
-/// experiments are synthesised from the reference because the
-/// propagation analysis proved their fault washes out. Requires the
-/// knob, static pruning info and the same technique/log-mode envelope as
-/// class execution (the proof covers corrupt-targets-at-times injection
-/// observed through terminal state only). Prunable faults stay prunable
-/// — prediction covers strictly live-but-washed faults.
+/// Which experiments are synthesised from the reference because the
+/// propagation analysis proved their fault washes out. Requires the knob,
+/// static pruning info and [`synthesis_envelope`]. Prunable faults stay
+/// prunable — prediction covers strictly live-but-washed faults.
 fn compute_predicted(
     faults: &[PlannedFault],
     prunable: &[bool],
     prune: &PruneInfo,
     campaign: &Campaign,
-    config: &crate::target::TargetSystemConfig,
+    config: &TargetSystemConfig,
     options: &RunOptions,
 ) -> Vec<bool> {
-    let technique_ok = matches!(
-        campaign.technique,
-        Technique::Scifi | Technique::SwifiRuntime
-    );
     let PruneInfo::Static(analysis) = prune else {
         return vec![false; faults.len()];
     };
-    if !options.prediction || !technique_ok || campaign.log_mode != LogMode::Normal {
+    if !options.prediction || !synthesis_envelope(campaign) {
         return vec![false; faults.len()];
     }
     faults
@@ -654,268 +617,39 @@ fn compute_predicted(
         .collect()
 }
 
-/// A deterministic execution plan for one campaign on one target: the
-/// generated fault list, per-fault prunability, the fault-free reference
-/// run and (when enabled) the injection-time checkpoint cache.
+/// Groups the fault list into live execution classes (recorded on
+/// `analysis` for persistence) and returns, for every fault, the
+/// representative whose run it is synthesised from (`None` for faults
+/// that execute or are synthesised otherwise). The representative is
+/// always the lowest member index, so `proxy[i] < i`.
 ///
-/// This is the piece of the runner that `goofi-server` worker processes
-/// need: every worker calls [`plan_campaign`] against the same campaign
-/// and derives the *same* plan (fault-list generation is seeded), then
-/// executes whatever chunk of experiment indices the server hands it.
-/// Rows produced through a plan are byte-identical to the sequential
-/// runner's — pruned experiments synthesise the reference outcome, live
-/// ones execute (checkpointed when the plan carries a cache).
-///
-/// Equivalence-class execution is deliberately *not* part of a plan:
-/// fanned rows are byte-identical to directly-executed ones (PR 5's
-/// contract), so distributed workers always execute directly and the
-/// class knob stays a single-process optimisation.
-pub struct CampaignPlan {
-    /// The generated fault list, in campaign order.
-    pub faults: Vec<PlannedFault>,
-    /// `prunable[i]` — pre-injection analysis proved experiment `i`
-    /// cannot differ from the reference.
-    pub prunable: Vec<bool>,
-    /// `predicted[i]` — the propagation analysis proved experiment `i`'s
-    /// fault washes out, so its row is synthesised from the reference
-    /// (only under [`RunOptions::prediction`] with static pruning).
-    pub predicted: Vec<bool>,
-    /// The fault-free reference run.
-    pub reference: ExperimentRun,
-    /// The static analysis to persist, when the plan pruned statically.
-    pub static_analysis: Option<StaticAnalysis>,
-    checkpoints: Option<CheckpointPlan>,
-}
-
-/// Builds the shared campaign plan on `target`. Identical inputs
-/// (campaign, options) produce identical plans on every call — the
-/// foundation of multi-process execution and its byte-identical-DB
-/// guarantee. `options.class_execution` is ignored (see
-/// [`CampaignPlan`]); `options.scheduler` is irrelevant here.
-///
-/// # Errors
-///
-/// Campaign validation and target errors, exactly as
-/// [`CampaignRunner::run`].
-pub fn plan_campaign(
-    target: &mut dyn TargetSystemInterface,
+/// Eligibility is conservative: the identical-trajectory proof covers
+/// faults inside [`synthesis_envelope`] whose pre-final activations (if
+/// any) provably wash out ([`StaticAnalysis::prefix_washed`], checked
+/// inside [`StaticAnalysis::compute_execution_classes`]). Pruned and
+/// predicted faults (`skip`) synthesise the reference, so neither
+/// executes nor anchors a class.
+fn execution_classes(
+    analysis: &mut StaticAnalysis,
     campaign: &Campaign,
-    options: &RunOptions,
-) -> Result<CampaignPlan> {
-    let options = options.class_execution(false);
-    let (faults, prune, _class) = prepare(target, campaign, &options)?;
-    let config = target.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, &options);
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(target, campaign)
-    }?;
-    let checkpoints = if options.checkpoint {
-        let skip: Vec<bool> = prunable
-            .iter()
-            .zip(&predicted)
-            .map(|(&a, &b)| a || b)
-            .collect();
-        CheckpointPlan::build(target, campaign, &faults, &skip)
-    } else {
-        None
-    };
-    Ok(CampaignPlan {
-        faults,
-        prunable,
-        predicted,
-        reference,
-        static_analysis: prune.into_static(),
-        checkpoints,
-    })
-}
-
-impl CampaignPlan {
-    /// Number of experiments in the campaign.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the fault list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Executes experiment `index` (or synthesises it when prunable) and
-    /// returns its run. Byte-identical to what the sequential runner
-    /// would log for the same index.
-    ///
-    /// # Errors
-    ///
-    /// Target errors from the experiment; out-of-range indices are a
-    /// [`GoofiError::Campaign`] error.
-    pub fn execute(
-        &self,
-        target: &mut dyn TargetSystemInterface,
-        campaign: &Campaign,
-        index: usize,
-    ) -> Result<ExperimentRun> {
-        let fault = self.faults.get(index).ok_or_else(|| {
-            GoofiError::Campaign(format!(
-                "experiment index {index} out of range (fault list has {})",
-                self.faults.len()
-            ))
-        })?;
-        if self.prunable[index] {
-            tracing::value(names::COUNTER_PRUNED, 1);
-            return Ok(pruned_run(&self.reference, fault));
-        }
-        if self.predicted[index] {
-            tracing::value(names::COUNTER_PREDICTED, 1);
-            return Ok(predicted_run(&self.reference, fault));
-        }
-        let _s = tracing::span(names::PHASE_EXPERIMENT);
-        if let Some(plan) = &self.checkpoints {
-            run_experiment_checkpointed(target, campaign, fault, plan)
-        } else {
-            run_experiment(target, campaign, fault)
-        }
-    }
-
-    /// The loggable record of experiment `index` from its `run`, named
-    /// exactly as the runner names it (`{campaign}/{index:05}`).
-    pub fn record(
-        &self,
-        campaign: &Campaign,
-        index: usize,
-        run: &ExperimentRun,
-    ) -> ExperimentRecord {
-        record_of(campaign, experiment_name(&campaign.name, index), run)
-    }
-
-    /// The loggable record of the fault-free reference run.
-    pub fn reference_record(&self, campaign: &Campaign) -> ExperimentRecord {
-        record_of(
-            campaign,
-            reference_experiment_name(&campaign.name),
-            &self.reference,
-        )
-    }
-}
-
-/// The experiment-row name the runner logs for index `index` of
-/// `campaign` — public so services can test row existence when resuming.
-pub fn logged_experiment_name(campaign: &str, index: usize) -> String {
-    experiment_name(campaign, index)
-}
-
-/// Builds the synthetic result of an equivalence-class member from its
-/// representative's executed run. Soundness: both faults mutate the same
-/// bits with the same model, and every target location is untouched by
-/// the fault-free execution between the two injection times (they share
-/// the location's first-touch window), so the post-injection trajectories
-/// — and therefore every logged observable — coincide exactly.
-///
-/// `activations_done` is copied from the representative so the member row
-/// round-trips through the store identically to a directly-executed one.
-fn fanned_run(representative: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
-    ExperimentRun {
-        fault: Some(fault.clone()),
-        termination: representative.termination.clone(),
-        outputs: representative.outputs.clone(),
-        state: representative.state.clone(),
-        instructions: representative.instructions,
-        iterations: representative.iterations,
-        activations_done: representative.activations_done,
-        detail_trace: None,
-        pruned: false,
-        predicted: false,
-    }
-}
-
-/// The equivalence-class execution plan: which faults are proxied by a
-/// representative, and which members each representative fans out to.
-struct ClassPlan {
-    /// `proxy[i] = Some(rep)` when fault `i`'s row is synthesised from
-    /// `rep`'s executed run instead of running experiment `i` directly.
-    /// The representative is always the lowest member index, so
-    /// `rep < i` for every proxied `i`.
-    proxy: Vec<Option<usize>>,
-    /// Representative index → proxied member indices, ascending.
-    fanout: BTreeMap<usize, Vec<usize>>,
-}
-
-impl ClassPlan {
-    /// Groups the fault list into live execution classes (recorded on
-    /// `analysis` for persistence) and derives the proxy/fan-out tables.
-    ///
-    /// Eligibility is conservative: the identical-trajectory proof covers
-    /// breakpoint-injected faults observed in normal log mode whose
-    /// pre-final activations (if any) provably wash out
-    /// ([`StaticAnalysis::prefix_washed`], checked inside
-    /// [`StaticAnalysis::compute_execution_classes`]). Pruned faults
-    /// already synthesise the reference and predicted faults synthesise
-    /// it too (`skip`), so neither executes nor anchors a class.
-    fn build(
-        analysis: &mut StaticAnalysis,
-        campaign: &Campaign,
-        config: &crate::target::TargetSystemConfig,
-        faults: &[PlannedFault],
-        skip: &[bool],
-    ) -> ClassPlan {
-        let technique_ok = matches!(
-            campaign.technique,
-            Technique::Scifi | Technique::SwifiRuntime
-        );
-        let eligible: Vec<bool> = faults
-            .iter()
-            .enumerate()
-            .map(|(i, _f)| technique_ok && campaign.log_mode == LogMode::Normal && !skip[i])
-            .collect();
-        analysis.compute_execution_classes(config, faults, &eligible);
-        let mut proxy = vec![None; faults.len()];
-        let mut fanout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for class in &analysis.classes {
-            if class.kind != ClassKind::Live {
-                continue;
-            }
-            let rep = class.representative;
-            let members: Vec<usize> = class
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| m != rep)
-                .collect();
-            for &m in &members {
-                proxy[m] = Some(rep);
-            }
-            if !members.is_empty() {
-                fanout.insert(rep, members);
-            }
-        }
-        ClassPlan { proxy, fanout }
-    }
-}
-
-/// `Some(rep)` when experiment `i` is proxied under the (optional) plan.
-fn proxied(plan: Option<&ClassPlan>, i: usize) -> Option<usize> {
-    plan.and_then(|p| p.proxy[i])
-}
-
-/// Resolves class execution for one campaign: the plan (when enabled and
-/// supported) plus the analysis to persist — the class-bearing analysis
-/// when class execution ran, otherwise whatever static pruning produced.
-fn resolve_classes(
-    campaign: &Campaign,
-    config: &crate::target::TargetSystemConfig,
+    config: &TargetSystemConfig,
     faults: &[PlannedFault],
     skip: &[bool],
-    prune: PruneInfo,
-    class_analysis: Option<StaticAnalysis>,
-) -> (Option<ClassPlan>, Option<StaticAnalysis>) {
-    match class_analysis {
-        Some(mut analysis) => {
-            let plan = ClassPlan::build(&mut analysis, campaign, config, faults, skip);
-            (Some(plan), Some(analysis))
+) -> Vec<Option<usize>> {
+    let envelope = synthesis_envelope(campaign);
+    let eligible: Vec<bool> = skip.iter().map(|&s| envelope && !s).collect();
+    analysis.compute_execution_classes(config, faults, &eligible);
+    let mut proxy = vec![None; faults.len()];
+    for class in analysis
+        .classes
+        .iter()
+        .filter(|c| c.kind == ClassKind::Live)
+    {
+        for &m in class.members.iter().filter(|&&m| m != class.representative) {
+            proxy[m] = Some(class.representative);
         }
-        None => (None, prune.into_static()),
     }
+    proxy
 }
 
 /// Prepares the shared campaign inputs: reference trace (when needed),
@@ -951,343 +685,554 @@ fn prepare(
         campaign.seed,
         trace.as_deref(),
     )?;
+    let horizon = faults
+        .iter()
+        .flat_map(|f| f.times.iter().copied())
+        .max()
+        .unwrap_or(0);
+    // Same fallback idiom as the checkpoint cache: a target without a
+    // static analyzer runs the campaign unpruned and unclassed.
+    let static_analysis =
+        |target: &mut dyn TargetSystemInterface| match target.static_analysis(horizon) {
+            Ok(analysis) => Ok(Some(analysis)),
+            Err(GoofiError::Unsupported { .. }) => Ok(None),
+            Err(e) => Err(e),
+        };
     let prune = match options.pruning {
         Pruning::Off => PruneInfo::None,
         Pruning::Trace if trace_pruning => PruneInfo::Trace(LivenessAnalysis::from_trace(
             trace.as_deref().expect("trace collected above"),
         )),
         Pruning::Trace => PruneInfo::None,
-        Pruning::Static => {
-            let horizon = faults
-                .iter()
-                .flat_map(|f| f.times.iter().copied())
-                .max()
-                .unwrap_or(0);
-            match target.static_analysis(horizon) {
-                Ok(mut analysis) => {
-                    analysis.compute_classes(&config, &faults);
-                    PruneInfo::Static(analysis)
-                }
-                // Same fallback idiom as the checkpoint cache: a target
-                // without a static analyzer runs the campaign unpruned.
-                Err(GoofiError::Unsupported { .. }) => PruneInfo::None,
-                Err(e) => return Err(e),
+        Pruning::Static => match static_analysis(target)? {
+            Some(mut analysis) => {
+                analysis.compute_classes(&config, &faults);
+                PruneInfo::Static(analysis)
             }
-        }
+            None => PruneInfo::None,
+        },
     };
-    let class_analysis = if options.class_execution {
-        match &prune {
-            // Static pruning already computed the analysis; classes are
-            // grouped on a copy so the persisted row carries both the
-            // dead classes and the live execution classes.
-            PruneInfo::Static(analysis) => Some(analysis.clone()),
-            _ => {
-                let horizon = faults
-                    .iter()
-                    .flat_map(|f| f.times.iter().copied())
-                    .max()
-                    .unwrap_or(0);
-                match target.static_analysis(horizon) {
-                    Ok(analysis) => Some(analysis),
-                    // Same fallback as above: no analyzer, no classes —
-                    // every experiment executes directly.
-                    Err(GoofiError::Unsupported { .. }) => None,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    } else {
-        None
+    let class_analysis = match &prune {
+        _ if !options.class_execution => None,
+        // Static pruning already computed the analysis; classes are
+        // grouped on a copy so the persisted row carries both the dead
+        // classes and the live execution classes.
+        PruneInfo::Static(analysis) => Some(analysis.clone()),
+        _ => static_analysis(target)?,
     };
     Ok((faults, prune, class_analysis))
 }
 
-/// Classification, as its own phase span.
-fn classify(reference: &ExperimentRun, runs: &[ExperimentRun]) -> CampaignStats {
-    let _s = tracing::span(names::PHASE_CLASSIFICATION);
-    CampaignStats::from_runs(reference, runs)
+/// What a campaign does with one fault index, decided once by
+/// [`build_plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The store already holds the row (resume): reused, not re-logged.
+    Stored,
+    /// Pre-injection analysis proved the fault dead: the reference
+    /// outcome, flagged as pruned.
+    Pruned,
+    /// The propagation analysis proved the fault washes out: the
+    /// reference outcome, flagged as predicted.
+    Predicted,
+    /// An equivalence-class member: synthesised from the run of its
+    /// representative, which always has a lower index.
+    Fanned(usize),
+    /// Executed on a target.
+    Execute,
 }
 
-/// The sequential path (one target, one thread).
-fn sequential_run(
+/// A deterministic execution plan for one campaign on one target: the
+/// generated fault list, what happens to each index, the fault-free
+/// reference run and (when enabled) the injection-time checkpoint cache.
+///
+/// Every campaign runs from a plan. `goofi-server` worker processes call
+/// [`plan_campaign`] against the same campaign and derive the *same* plan
+/// (fault-list generation is seeded), then execute whatever chunk of
+/// experiment indices the server hands them. Rows produced through a plan
+/// are byte-identical to the sequential runner's — pruned and predicted
+/// experiments synthesise the reference outcome, live ones execute
+/// (checkpointed when the plan carries a cache).
+///
+/// A plan from [`plan_campaign`] never fans out: fanned rows are
+/// byte-identical to directly-executed ones, so distributed workers
+/// always execute directly and class execution stays a single-process
+/// optimisation.
+pub struct CampaignPlan {
+    /// The generated fault list, in campaign order.
+    pub faults: Vec<PlannedFault>,
+    /// `prunable[i]` — pre-injection analysis proved experiment `i`
+    /// cannot differ from the reference.
+    pub prunable: Vec<bool>,
+    /// `predicted[i]` — the propagation analysis proved experiment `i`'s
+    /// fault washes out, so its row is synthesised from the reference
+    /// (only under [`RunOptions::prediction`] with static pruning).
+    pub predicted: Vec<bool>,
+    /// The fault-free reference run.
+    pub reference: ExperimentRun,
+    /// The static analysis to persist, when the plan pruned statically or
+    /// grouped execution classes.
+    pub static_analysis: Option<StaticAnalysis>,
+    steps: Vec<Step>,
+    /// The reference row came from the store (resume) and is not logged
+    /// again.
+    reference_stored: bool,
+    checkpoints: Option<CheckpointPlan>,
+}
+
+/// Builds the shared campaign plan on `target`. Identical inputs
+/// (campaign, options) produce identical plans on every call — the
+/// foundation of multi-process execution and its byte-identical-DB
+/// guarantee. `options.class_execution` is ignored (see
+/// [`CampaignPlan`]).
+///
+/// # Errors
+///
+/// Campaign validation and target errors, exactly as
+/// [`CampaignRunner::run`].
+pub fn plan_campaign(
     target: &mut dyn TargetSystemInterface,
     campaign: &Campaign,
-    mut store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
     options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
+) -> Result<CampaignPlan> {
+    build_plan(target, campaign, &options.class_execution(false), None).map(|(plan, _)| plan)
+}
+
+/// The one plan builder behind every run, resume and [`plan_campaign`]
+/// call: prepares the fault list, decides each index's [`Step`], takes
+/// the reference from `resume_from` when it holds one (runs it
+/// otherwise) and builds the checkpoint cache over the executed indices
+/// only. Also returns the rows `resume_from` already holds, by index.
+fn build_plan(
+    target: &mut dyn TargetSystemInterface,
+    campaign: &Campaign,
+    options: &RunOptions,
+    resume_from: Option<&GoofiStore>,
+) -> Result<(CampaignPlan, Vec<Option<ExperimentRun>>)> {
     let (faults, prune, class_analysis) = prepare(target, campaign, options)?;
     let config = target.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
+    let prunable: Vec<bool> = faults.iter().map(|f| prune.can_prune(&config, f)).collect();
     let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
+    let (proxy, static_analysis) = match class_analysis {
+        Some(mut analysis) => {
+            let skip: Vec<bool> = prunable
+                .iter()
+                .zip(&predicted)
+                .map(|(&a, &b)| a || b)
+                .collect();
+            let proxy = execution_classes(&mut analysis, campaign, &config, &faults, &skip);
+            (proxy, Some(analysis))
+        }
+        None => (vec![None; faults.len()], prune.into_static()),
+    };
 
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Started {
-            campaign: campaign.name.clone(),
-            total: faults.len(),
-        });
+    // Names are only built when there is a store to look them up in.
+    let stored =
+        |name: &dyn Fn() -> String| resume_from.and_then(|s| s.get_experiment(&name()).ok());
+    let stored_reference = stored(&|| reference_experiment_name(&campaign.name));
+    let reference_stored = stored_reference.is_some();
+    let reference = match stored_reference {
+        Some(record) => record.to_run(),
+        None => {
+            let _s = tracing::span(names::PHASE_REFERENCE);
+            reference_run(target, campaign)?
+        }
+    };
+    let slots: Vec<Option<ExperimentRun>> = (0..faults.len())
+        .map(|i| stored(&|| experiment_name(&campaign.name, i)).map(|record| record.to_run()))
+        .collect();
+    let steps: Vec<Step> = (0..faults.len())
+        .map(|i| match proxy[i] {
+            _ if slots[i].is_some() => Step::Stored,
+            _ if prunable[i] => Step::Pruned,
+            _ if predicted[i] => Step::Predicted,
+            Some(rep) => Step::Fanned(rep),
+            None => Step::Execute,
+        })
+        .collect();
+
+    let checkpoints = if options.checkpoint {
+        let unexecuted: Vec<bool> = steps.iter().map(|&s| s != Step::Execute).collect();
+        CheckpointPlan::build(target, campaign, &faults, &unexecuted)
+    } else {
+        None
+    };
+    let plan = CampaignPlan {
+        faults,
+        prunable,
+        predicted,
+        reference,
+        static_analysis,
+        steps,
+        reference_stored,
+        checkpoints,
+    };
+    Ok((plan, slots))
+}
+
+impl CampaignPlan {
+    /// Number of experiments in the campaign.
+    pub fn len(&self) -> usize {
+        self.faults.len()
     }
 
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(target, campaign)
-    }?;
-    if let Some(store) = store.as_deref_mut() {
-        store.log_experiment(&record_of(
+    /// Whether the fault list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.faults.is_empty()
+    }
+
+    /// Executes experiment `index` (or synthesises it when prunable or
+    /// predicted) and returns its run. Byte-identical to what the
+    /// sequential runner would log for the same index.
+    ///
+    /// # Errors
+    ///
+    /// Target errors from the experiment; out-of-range indices are a
+    /// [`GoofiError::Campaign`] error.
+    pub fn execute(
+        &self,
+        target: &mut dyn TargetSystemInterface,
+        campaign: &Campaign,
+        index: usize,
+    ) -> Result<ExperimentRun> {
+        let fault = self.faults.get(index).ok_or_else(|| {
+            GoofiError::Campaign(format!(
+                "experiment index {index} out of range (fault list has {})",
+                self.faults.len()
+            ))
+        })?;
+        // A plan from `plan_campaign` never fans out: no slots needed.
+        if let Some(run) = self.synthesise(index, &[]) {
+            return Ok(run);
+        }
+        let _s = tracing::span(names::PHASE_EXPERIMENT);
+        if let Some(plan) = &self.checkpoints {
+            run_experiment_checkpointed(target, campaign, fault, plan)
+        } else {
+            run_experiment(target, campaign, fault)
+        }
+    }
+
+    /// The loggable record of experiment `index` from its `run`, named
+    /// exactly as the runner names it (`{campaign}/{index:05}`).
+    pub fn record(
+        &self,
+        campaign: &Campaign,
+        index: usize,
+        run: &ExperimentRun,
+    ) -> ExperimentRecord {
+        record_of(campaign, experiment_name(&campaign.name, index), run)
+    }
+
+    /// The loggable record of the fault-free reference run.
+    pub fn reference_record(&self, campaign: &Campaign) -> ExperimentRecord {
+        record_of(
             campaign,
             reference_experiment_name(&campaign.name),
-            &reference,
-        ))?;
+            &self.reference,
+        )
     }
 
-    // Proxied class members never execute, so they contribute no
-    // checkpoint snapshot times either.
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = (0..faults.len())
-            .map(|i| skip[i] || proxied(class_plan.as_ref(), i).is_some())
-            .collect();
-        CheckpointPlan::build(target, campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-
-    let mut gauges = WorkerTelemetry::default();
-    let mut runs = Vec::with_capacity(faults.len());
-    let mut stopped = false;
-    for (i, fault) in faults.iter().enumerate() {
-        if let Some(ctl) = controller {
-            match ctl.checkpoint() {
-                Ok(()) => {}
-                Err(GoofiError::Stopped) => {
-                    stopped = true;
-                    break;
-                }
-                Err(other) => return Err(other),
+    /// The row of unsettled index `index` when it needs no target: a
+    /// pruned or predicted row copies the reference, a fanned member its
+    /// representative's run in `slots`. `None` for an executed index.
+    fn synthesise(&self, index: usize, slots: &[Option<ExperimentRun>]) -> Option<ExperimentRun> {
+        let fault = &self.faults[index];
+        match self.steps[index] {
+            Step::Fanned(rep) => {
+                let rep_run = slots[rep]
+                    .as_ref()
+                    .expect("a representative settles before its members");
+                Some(fanned_run(rep_run, fault))
             }
-        }
-        let pruned = prunable[i];
-        let run = if pruned {
-            tracing::value(names::COUNTER_PRUNED, 1);
-            pruned_run(&reference, fault)
-        } else if predicted[i] {
-            tracing::value(names::COUNTER_PREDICTED, 1);
-            predicted_run(&reference, fault)
-        } else if let Some(rep) = proxied(class_plan.as_ref(), i) {
-            // The representative has the lowest index in its class, so
-            // its run is already in `runs`.
-            tracing::value(names::COUNTER_FANNED, 1);
-            fanned_run(&runs[rep], fault)
-        } else {
-            let busy_t0 = telemetry.map(|_| Instant::now());
-            let run = {
-                let _s = tracing::span(names::PHASE_EXPERIMENT);
-                if let Some(plan) = &plan {
-                    run_experiment_checkpointed(target, campaign, fault, plan)
-                } else {
-                    run_experiment(target, campaign, fault)
-                }
-            }?;
-            if let Some(t0) = busy_t0 {
-                gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
+            _ if self.prunable[index] => {
+                tracing::value(names::COUNTER_PRUNED, 1);
+                Some(pruned_run(&self.reference, fault))
             }
-            gauges.claimed += 1;
-            run
-        };
-        if let Some(store) = store.as_deref_mut() {
-            store.log_experiment(&record_of(
-                campaign,
-                experiment_name(&campaign.name, i),
-                &run,
-            ))?;
+            _ if self.predicted[index] => {
+                tracing::value(names::COUNTER_PREDICTED, 1);
+                Some(predicted_run(&self.reference, fault))
+            }
+            _ => None,
         }
-        if let Some(ctl) = controller {
-            ctl.emit(ProgressEvent::ExperimentDone {
-                completed: i + 1,
-                total: faults.len(),
-                pruned,
-            });
-        }
-        runs.push(run);
     }
 
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Finished {
-            completed: runs.len(),
-            stopped,
-        });
+    /// An executor's row for unsettled index `index`: synthesised when it
+    /// can be, executed otherwise. Executed experiments count into
+    /// `gauges` (busy time only when `timed`).
+    fn produce(
+        &self,
+        target: &mut dyn TargetSystemInterface,
+        campaign: &Campaign,
+        index: usize,
+        slots: &[Option<ExperimentRun>],
+        gauges: &mut WorkerTelemetry,
+        timed: bool,
+    ) -> Result<ExperimentRun> {
+        if let Some(run) = self.synthesise(index, slots) {
+            return Ok(run);
+        }
+        let busy_t0 = timed.then(Instant::now);
+        let run = self.execute(target, campaign, index)?;
+        if let Some(t0) = busy_t0 {
+            gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        gauges.claimed += 1;
+        Ok(run)
     }
-
-    let stats = classify(&reference, &runs);
-    if let Some(t) = telemetry {
-        t.recorder.record_worker(gauges);
-    }
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
 }
 
-/// The sequential resume path: experiments whose `LoggedSystemState` row
-/// already exists are skipped; the reference run is reused from the store
-/// when present. Returns the *complete* result (stored rows + freshly run
-/// experiments, in fault-list order).
-fn sequential_resume(
+/// The experiment-row name the runner logs for index `index` of
+/// `campaign` — public so services can test row existence when resuming.
+pub fn logged_experiment_name(campaign: &str, index: usize) -> String {
+    experiment_name(campaign, index)
+}
+
+// ----------------------------------------------------------------------
+// The writer
+// ----------------------------------------------------------------------
+
+/// The first index at or after `from` whose row will arrive (stored rows
+/// never do).
+fn next_awaited(steps: &[Step], from: usize) -> usize {
+    (from..steps.len())
+        .find(|&i| steps[i] != Step::Stored)
+        .unwrap_or(steps.len())
+}
+
+/// The single consumer of settled rows, shared by both executors: logs
+/// them to the store in fault-list order, emits progress events and
+/// applies operator commands. Stop is terminal.
+struct Writer<'a> {
+    store: Option<&'a mut GoofiStore>,
+    controller: Option<&'a Controller>,
+    steps: &'a [Step],
+    /// Reorder buffer: rows that settled ahead of `next`.
+    pending: BTreeMap<usize, ExperimentRecord>,
+    /// The next index to log.
+    next: usize,
+    /// Rows settled so far, stored ones included.
+    completed: usize,
+    paused: bool,
+    stopped: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// Announces the campaign and logs the reference row, unless the
+    /// store already holds it.
+    fn start(
+        mut store: Option<&'a mut GoofiStore>,
+        controller: Option<&'a Controller>,
+        campaign: &Campaign,
+        plan: &'a CampaignPlan,
+    ) -> Result<Writer<'a>> {
+        if let Some(ctl) = controller {
+            ctl.emit(ProgressEvent::Started {
+                campaign: campaign.name.clone(),
+                total: plan.len(),
+            });
+        }
+        if let (Some(store), false) = (store.as_deref_mut(), plan.reference_stored) {
+            store.log_experiment(&plan.reference_record(campaign))?;
+        }
+        Ok(Writer {
+            store,
+            controller,
+            steps: &plan.steps,
+            pending: BTreeMap::new(),
+            next: next_awaited(&plan.steps, 0),
+            completed: plan.steps.iter().filter(|&&s| s == Step::Stored).count(),
+            paused: false,
+            stopped: false,
+        })
+    }
+
+    /// Whether settled rows are logged, so executors know to build their
+    /// records.
+    fn logging(&self) -> bool {
+        self.store.is_some()
+    }
+
+    fn emit(&self, event: ProgressEvent) {
+        if let Some(ctl) = self.controller {
+            ctl.emit(event);
+        }
+    }
+
+    /// Applies one operator command, acknowledging pause and resume.
+    fn apply(&mut self, cmd: Command) {
+        match cmd {
+            Command::Pause if !self.paused => {
+                self.paused = true;
+                self.emit(ProgressEvent::Paused);
+            }
+            Command::Resume if self.paused => {
+                self.paused = false;
+                self.emit(ProgressEvent::Resumed);
+            }
+            Command::Stop => self.stopped = true,
+            _ => {}
+        }
+    }
+
+    /// Applies every command already queued, without blocking.
+    fn drain_commands(&mut self) {
+        if let Some(ctl) = self.controller {
+            while let Ok(cmd) = ctl.command_receiver().try_recv() {
+                self.apply(cmd);
+            }
+        }
+    }
+
+    /// The experiment-boundary check of the in-thread executor: the
+    /// controller's checkpoint, which blocks while paused. `false` once
+    /// stopped.
+    fn admit(&mut self) -> bool {
+        match self.controller.map(Controller::checkpoint) {
+            Some(Err(_)) => {
+                self.stopped = true;
+                false
+            }
+            _ => true,
+        }
+    }
+
+    fn gate_state(&self) -> GateState {
+        if self.stopped {
+            GateState::Stopped
+        } else if self.paused {
+            GateState::Paused
+        } else {
+            GateState::Running
+        }
+    }
+
+    /// Settles row `index`: logs its record (present when a store is
+    /// attached) in fault-list order and emits its progress event.
+    fn accept(
+        &mut self,
+        index: usize,
+        pruned: bool,
+        record: Option<ExperimentRecord>,
+    ) -> Result<()> {
+        if let (Some(store), Some(record)) = (self.store.as_deref_mut(), record) {
+            if index == self.next {
+                store.log_experiment(&record)?;
+                self.next = next_awaited(self.steps, index + 1);
+            } else {
+                self.pending.insert(index, record);
+            }
+            while let Some(record) = self.pending.remove(&self.next) {
+                store.log_experiment(&record)?;
+                self.next = next_awaited(self.steps, self.next + 1);
+            }
+        }
+        self.completed += 1;
+        self.emit(ProgressEvent::ExperimentDone {
+            completed: self.completed,
+            total: self.steps.len(),
+            pruned,
+        });
+        Ok(())
+    }
+
+    /// The pool's writer thread: settles rows as workers send them and
+    /// turns operator commands into gate states, until every worker has
+    /// hung up.
+    fn serve(&mut self, rows: crossbeam::channel::Receiver<SettledRow>, gate: &Gate) -> Result<()> {
+        let never = crossbeam::channel::never::<Command>();
+        let mut commands = self
+            .controller
+            .map_or_else(|| never.clone(), |c| c.command_receiver().clone());
+        loop {
+            crossbeam::channel::select! {
+                recv(rows) -> row => match row {
+                    Ok(row) => self.accept(row.index, row.pruned, row.record)?,
+                    Err(_) => return Ok(()),
+                },
+                recv(commands) -> cmd => {
+                    match cmd {
+                        Ok(cmd) => self.apply(cmd),
+                        // The operator's handle vanished: stop polling it
+                        // and never stay paused for it.
+                        Err(_) => {
+                            self.paused = false;
+                            commands = never.clone();
+                        }
+                    }
+                    gate.set(self.gate_state());
+                }
+            }
+        }
+    }
+
+    /// Logs the rows that settled beyond a stop's gap (resume skips
+    /// exactly the missing rows), announces the end and reports whether
+    /// the campaign was stopped.
+    fn finish(self) -> Result<bool> {
+        if let Some(store) = self.store {
+            for record in self.pending.into_values() {
+                store.log_experiment(&record)?;
+            }
+        }
+        if let Some(ctl) = self.controller {
+            ctl.emit(ProgressEvent::Finished {
+                completed: self.completed,
+                stopped: self.stopped,
+            });
+        }
+        Ok(self.stopped)
+    }
+}
+
+// ----------------------------------------------------------------------
+// The executors
+// ----------------------------------------------------------------------
+
+/// Settled rows by index, stored ones pre-filled; returned with whether
+/// the campaign was stopped.
+type Settled = (Vec<Option<ExperimentRun>>, bool);
+
+/// The `workers == 1` executor: produces every unsettled row in index
+/// order on the calling thread and hands it straight to the writer.
+fn run_in_thread(
     target: &mut dyn TargetSystemInterface,
     campaign: &Campaign,
-    store: &mut GoofiStore,
-    controller: Option<&Controller>,
-    options: &RunOptions,
+    plan: &CampaignPlan,
+    mut slots: Vec<Option<ExperimentRun>>,
+    mut writer: Writer<'_>,
     telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    let (faults, prune, class_analysis) = prepare(target, campaign, options)?;
-    let config = target.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
-
-    // Reference: reuse the stored row, or make and log it now.
-    let ref_name = reference_experiment_name(&campaign.name);
-    let reference = match store.get_experiment(&ref_name) {
-        Ok(record) => record.to_run(),
-        Err(_) => {
-            let reference = {
-                let _s = tracing::span(names::PHASE_REFERENCE);
-                reference_run(target, campaign)
-            }?;
-            store.log_experiment(&record_of(campaign, ref_name, &reference))?;
-            reference
-        }
-    };
-
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Started {
-            campaign: campaign.name.clone(),
-            total: faults.len(),
-        });
-    }
-
-    // The pilot only needs checkpoints for experiments that will actually
-    // run: stored rows, prunable faults and proxied class members
-    // contribute no snapshot times.
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = (0..faults.len())
-            .map(|i| {
-                skip[i]
-                    || proxied(class_plan.as_ref(), i).is_some()
-                    || store
-                        .get_experiment(&experiment_name(&campaign.name, i))
-                        .is_ok()
-            })
-            .collect();
-        CheckpointPlan::build(target, campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-
+) -> Result<Settled> {
     let mut gauges = WorkerTelemetry::default();
-    let mut runs = Vec::with_capacity(faults.len());
-    let mut stopped = false;
-    for (i, fault) in faults.iter().enumerate() {
-        let name = experiment_name(&campaign.name, i);
-        if let Ok(record) = store.get_experiment(&name) {
-            runs.push(record.to_run());
+    let logging = writer.logging();
+    for (i, &step) in plan.steps.iter().enumerate() {
+        if step == Step::Stored {
             continue;
         }
-        if let Some(ctl) = controller {
-            match ctl.checkpoint() {
-                Ok(()) => {}
-                Err(GoofiError::Stopped) => {
-                    stopped = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
+        if !writer.admit() {
+            break;
         }
-        let pruned = prunable[i];
-        let run = if pruned {
-            tracing::value(names::COUNTER_PRUNED, 1);
-            pruned_run(&reference, fault)
-        } else if predicted[i] {
-            tracing::value(names::COUNTER_PREDICTED, 1);
-            predicted_run(&reference, fault)
-        } else if let Some(rep) = proxied(class_plan.as_ref(), i) {
-            // The representative's run is in `runs` whether it was
-            // reloaded from the store or executed just now: rep < i.
-            tracing::value(names::COUNTER_FANNED, 1);
-            fanned_run(&runs[rep], fault)
-        } else {
-            let busy_t0 = telemetry.map(|_| Instant::now());
-            let run = {
-                let _s = tracing::span(names::PHASE_EXPERIMENT);
-                if let Some(plan) = &plan {
-                    run_experiment_checkpointed(target, campaign, fault, plan)
-                } else {
-                    run_experiment(target, campaign, fault)
-                }
-            }?;
-            if let Some(t0) = busy_t0 {
-                gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            gauges.claimed += 1;
-            run
-        };
-        store.log_experiment(&record_of(campaign, name, &run))?;
-        if let Some(ctl) = controller {
-            ctl.emit(ProgressEvent::ExperimentDone {
-                completed: i + 1,
-                total: faults.len(),
-                pruned,
-            });
-        }
-        runs.push(run);
+        let run = plan.produce(
+            target,
+            campaign,
+            i,
+            &slots,
+            &mut gauges,
+            telemetry.is_some(),
+        )?;
+        let record = logging.then(|| plan.record(campaign, i, &run));
+        writer.accept(i, step == Step::Pruned, record)?;
+        slots[i] = Some(run);
     }
-
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Finished {
-            completed: runs.len(),
-            stopped,
-        });
-    }
-
-    let stats = classify(&reference, &runs);
     if let Some(t) = telemetry {
         t.recorder.record_worker(gauges);
     }
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
+    Ok((slots, writer.finish()?))
 }
 
-// ----------------------------------------------------------------------
-// Work-stealing parallel runner
-// ----------------------------------------------------------------------
-
-/// Worker/writer pause-stop gate: workers ask for admission before every
-/// experiment; the writer thread translates operator [`Command`]s into
-/// state changes. Stop is terminal.
+/// Worker pause-stop gate of the pool: workers ask for admission before
+/// every experiment; the writer thread sets the state from operator
+/// commands, and any error stops it. Stop is terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GateState {
     Running,
@@ -1302,9 +1247,9 @@ struct Gate {
 }
 
 impl Gate {
-    fn new() -> Gate {
+    fn new(state: GateState) -> Gate {
         Gate {
-            state: parking_lot::Mutex::new(GateState::Running),
+            state: parking_lot::Mutex::new(state),
             cv: parking_lot::Condvar::new(),
         }
     }
@@ -1323,6 +1268,10 @@ impl Gate {
         }
     }
 
+    fn stopped(&self) -> bool {
+        *self.state.lock() == GateState::Stopped
+    }
+
     fn set(&self, new: GateState) {
         let mut state = self.state.lock();
         if *state != GateState::Stopped {
@@ -1332,9 +1281,8 @@ impl Gate {
     }
 }
 
-/// One finished experiment travelling from a worker (or the pruning
-/// pre-pass) to the writer thread.
-struct FinishedExperiment {
+/// One settled row travelling from a pool worker to the writer thread.
+struct SettledRow {
     index: usize,
     pruned: bool,
     /// Present only when a store is attached (built by the worker, so
@@ -1342,286 +1290,86 @@ struct FinishedExperiment {
     record: Option<ExperimentRecord>,
 }
 
-struct WriterOutcome {
-    completed: usize,
-    stopped: bool,
-    error: Option<GoofiError>,
-}
-
-/// Commands already pending when the campaign starts, applied on the main
-/// thread *before* any worker spawns so that stop/pause-before-start is
-/// deterministic (matching the sequential runner) instead of racing the
-/// first experiments.
-struct PreCommands {
-    paused: bool,
-    stopped: bool,
-}
-
-fn drain_pre_commands(controller: Option<&Controller>) -> PreCommands {
-    let mut pre = PreCommands {
-        paused: false,
-        stopped: false,
-    };
-    if let Some(ctl) = controller {
-        while let Ok(cmd) = ctl.command_receiver().try_recv() {
-            match cmd {
-                Command::Pause => {
-                    if !pre.paused {
-                        pre.paused = true;
-                        ctl.emit(ProgressEvent::Paused);
-                    }
-                }
-                Command::Resume => {
-                    if pre.paused {
-                        pre.paused = false;
-                        ctl.emit(ProgressEvent::Resumed);
-                    }
-                }
-                Command::Stop => pre.stopped = true,
-            }
+impl SettledRow {
+    fn new(
+        plan: &CampaignPlan,
+        campaign: &Campaign,
+        logging: bool,
+        index: usize,
+        run: &ExperimentRun,
+    ) -> SettledRow {
+        SettledRow {
+            index,
+            pruned: plan.steps[index] == Step::Pruned,
+            record: logging.then(|| plan.record(campaign, index, run)),
         }
     }
-    pre
 }
 
-/// The writer thread: single consumer of finished experiments. Streams
-/// records to the store in fault-list order (reorder buffer), emits
-/// progress events, and applies operator commands to the worker gate.
-#[allow(clippy::too_many_arguments)]
-fn writer_loop(
-    rx: crossbeam::channel::Receiver<FinishedExperiment>,
-    mut store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
-    gate: &Gate,
-    abort: &std::sync::atomic::AtomicBool,
-    total: usize,
-    expected: &[bool],
-    log_reference: bool,
-    campaign: &Campaign,
-    reference: &ExperimentRun,
-    pre: &PreCommands,
-) -> WriterOutcome {
-    use std::sync::atomic::Ordering;
-
-    let mut out = WriterOutcome {
-        completed: 0,
-        stopped: pre.stopped,
-        error: None,
-    };
-    if log_reference {
-        if let Some(store) = store.as_deref_mut() {
-            if let Err(e) = store.log_experiment(&record_of(
-                campaign,
-                reference_experiment_name(&campaign.name),
-                reference,
-            )) {
-                out.error = Some(e);
-                abort.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    // Reorder buffer: stream rows in fault-list order so a parallel
-    // campaign's database is byte-identical to a sequential one's.
-    let mut pending: std::collections::BTreeMap<usize, ExperimentRecord> =
-        std::collections::BTreeMap::new();
-    let mut next = 0usize;
-    let skip_unexpected = |next: &mut usize| {
-        while *next < expected.len() && !expected[*next] {
-            *next += 1;
-        }
-    };
-    skip_unexpected(&mut next);
-
-    let never = crossbeam::channel::never::<Command>();
-    let mut commands = controller
-        .map(|c| c.command_receiver().clone())
-        .unwrap_or_else(|| never.clone());
-    let mut paused = pre.paused;
-
-    loop {
-        crossbeam::channel::select! {
-            recv(rx) -> msg => match msg {
-                Ok(m) => {
-                    out.completed += 1;
-                    if let Some(ctl) = controller {
-                        ctl.emit(ProgressEvent::ExperimentDone {
-                            completed: out.completed,
-                            total,
-                            pruned: m.pruned,
-                        });
-                    }
-                    if out.error.is_none() {
-                        if let (Some(store), Some(record)) = (store.as_deref_mut(), m.record) {
-                            pending.insert(m.index, record);
-                            while let Some(record) = pending.remove(&next) {
-                                if let Err(e) = store.log_experiment(&record) {
-                                    out.error = Some(e);
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                next += 1;
-                                skip_unexpected(&mut next);
-                            }
-                        }
-                    }
-                }
-                // All workers (and the pruning pre-pass) are done.
-                Err(_) => break,
-            },
-            recv(commands) -> cmd => match cmd {
-                Ok(Command::Pause) => {
-                    if !paused {
-                        paused = true;
-                        gate.set(GateState::Paused);
-                        if let Some(ctl) = controller {
-                            ctl.emit(ProgressEvent::Paused);
-                        }
-                    }
-                }
-                Ok(Command::Resume) => {
-                    if paused {
-                        paused = false;
-                        gate.set(GateState::Running);
-                        if let Some(ctl) = controller {
-                            ctl.emit(ProgressEvent::Resumed);
-                        }
-                    }
-                }
-                Ok(Command::Stop) => {
-                    out.stopped = true;
-                    gate.set(GateState::Stopped);
-                }
-                Err(_) => {
-                    // Operator handle vanished: a campaign must not stay
-                    // paused (or poll a dead channel) because its progress
-                    // window closed.
-                    if paused {
-                        paused = false;
-                        gate.set(GateState::Running);
-                    }
-                    commands = never.clone();
-                }
-            },
-        }
-    }
-
-    // A stop leaves gaps in the fault-index sequence; flush whatever
-    // arrived beyond a gap so no finished work is discarded (resume skips
-    // exactly the missing rows).
-    if out.error.is_none() {
-        if let Some(store) = store {
-            for record in pending.into_values() {
-                if let Err(e) = store.log_experiment(&record) {
-                    out.error = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The shared work-stealing engine behind the parallel run and resume
-/// paths.
+/// The `workers > 1` executor: a work-stealing pool.
 ///
-/// * `slots[i]` is `Some` for experiments already completed (resume); the
-///   engine fills in the rest and returns the merged vector.
-/// * Scheduling: a pruning pre-pass synthesises all prunable runs up
-///   front, so workers only ever claim real experiments off a shared
-///   atomic cursor (chunked claims amortise contention). Each worker
-///   buffers results locally; buffers are merged once after the join.
-/// * A writer thread streams finished records to the store in fault-list
-///   order, emits progress events, and honours pause/stop.
+/// * Workers claim chunks of the executed indices off a shared atomic
+///   cursor (chunked claims amortise contention), so a slow experiment
+///   never stalls work a fixed partition would have pinned behind it.
+///   Each worker buffers its runs locally; buffers merge after the join.
+/// * The calling thread settles the synthesised rows (pruned, predicted,
+///   fanned from a stored representative) meanwhile, until a stop.
+/// * A class member whose representative executes here is fanned out by
+///   the worker that executes the representative, right after the
+///   representative's own row: FIFO channel order then guarantees a
+///   member row reaches the store only after its representative's, which
+///   keeps stop/resume sound.
+/// * The writer runs on its own thread. The first worker or writer
+///   error stops the gate, which ends the pool.
 /// * With telemetry enabled, every worker (and the writer) installs the
-///   recorder dispatch and reports scheduler gauges: experiments claimed,
-///   chunk claims beyond the first ("steals" relative to a one-shot
-///   static partition), busy and idle time.
-#[allow(clippy::too_many_arguments)]
-fn parallel_engine(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
+///   recorder dispatch and reports scheduler gauges: experiments
+///   executed, chunk claims beyond the first ("steals" relative to a
+///   one-shot partition), busy and idle time.
+fn run_pool(
+    factory: &Factory<'_>,
     campaign: &Campaign,
     workers: usize,
-    store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
-    faults: &[PlannedFault],
-    prunable: &[bool],
-    predicted: &[bool],
-    plan: Option<&CheckpointPlan>,
-    class_plan: Option<&ClassPlan>,
-    reference: &ExperimentRun,
-    log_reference: bool,
+    plan: &CampaignPlan,
     mut slots: Vec<Option<ExperimentRun>>,
+    mut writer: Writer<'_>,
     telemetry: Option<&Telemetry>,
-) -> Result<(Vec<ExperimentRun>, bool)> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    let total = faults.len();
-    debug_assert_eq!(slots.len(), total);
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Started {
-            campaign: campaign.name.clone(),
-            total,
-        });
+) -> Result<Settled> {
+    let mut fanout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let (mut worklist, mut synthesised) = (Vec::new(), Vec::new());
+    for (i, &step) in plan.steps.iter().enumerate() {
+        match step {
+            Step::Stored => {}
+            Step::Execute => worklist.push(i),
+            Step::Fanned(rep) if plan.steps[rep] == Step::Execute => {
+                fanout.entry(rep).or_default().push(i)
+            }
+            _ => synthesised.push(i),
+        }
     }
-
-    // `expected[i]`: a FinishedExperiment message will arrive for index i
-    // (false for rows preloaded from the store on resume). Proxied class
-    // members are never claimed: the worker that executes their
-    // representative fans their rows out itself, so each message still
-    // arrives — and on the same FIFO channel *after* the representative's,
-    // which keeps stop/resume sound (a member row can only be in the
-    // store if its representative's row is too).
-    let expected: Vec<bool> = slots.iter().map(Option::is_none).collect();
-    let worklist: Vec<usize> = (0..total)
-        .filter(|&i| {
-            expected[i] && !prunable[i] && !predicted[i] && proxied(class_plan, i).is_none()
-        })
-        .collect();
-    // Chunked claims: large enough to amortise cursor contention, small
-    // enough that a slow experiment cannot strand a long tail behind one
-    // worker.
+    // Large enough to amortise cursor contention, small enough that a
+    // slow experiment cannot strand a long tail behind one worker.
     let chunk = (worklist.len() / (workers * 4)).clamp(1, 32);
 
-    let gate = Gate::new();
-    // Apply commands that were queued before the campaign started, so a
-    // pre-sent Stop/Pause takes effect before the first claim.
-    let pre = drain_pre_commands(controller);
-    if pre.stopped {
-        gate.set(GateState::Stopped);
-    } else if pre.paused {
-        gate.set(GateState::Paused);
-    }
-    let abort = AtomicBool::new(false);
+    // Commands queued before the start take effect before the first
+    // claim, so a pre-sent Stop or Pause is deterministic.
+    writer.drain_commands();
+    let gate = Gate::new(writer.gate_state());
     let cursor = AtomicUsize::new(0);
-    let store_attached = store.is_some();
-    let (tx, rx) = crossbeam::channel::unbounded::<FinishedExperiment>();
+    let logging = writer.logging();
+    let timed = telemetry.is_some();
+    let (tx, rx) = crossbeam::channel::unbounded::<SettledRow>();
 
-    let (first_error, outcome) = std::thread::scope(|scope| {
-        let gate = &gate;
-        let abort = &abort;
-        let cursor = &cursor;
-        let worklist = &worklist;
-        let expected = &expected;
-        let pre = &pre;
-
-        let writer = scope.spawn(move || {
+    let (produced, writer, written) = std::thread::scope(|scope| {
+        let (gate, cursor, worklist, fanout) = (&gate, &cursor, &worklist, &fanout);
+        let writer_thread = scope.spawn(move || {
             // Store logging happens here, so journal/store spans are only
             // visible if this thread carries the dispatch too.
             let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-            writer_loop(
-                rx,
-                store,
-                controller,
-                gate,
-                abort,
-                total,
-                expected,
-                log_reference,
-                campaign,
-                reference,
-                pre,
-            )
+            let written = writer.serve(rx, gate);
+            if written.is_err() {
+                gate.set(GateState::Stopped);
+            }
+            (writer, written)
         });
 
         let mut handles = Vec::with_capacity(workers);
@@ -1636,89 +1384,40 @@ fn parallel_engine(
                 let mut chunks_claimed = 0u64;
                 let mut target = factory();
                 let mut local: Vec<(usize, ExperimentRun)> = Vec::new();
-                'claims: loop {
-                    let idle_t0 = telemetry.map(|_| Instant::now());
-                    if abort.load(Ordering::Relaxed) || !gate.admit() {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                let settle = |i: usize, run: ExperimentRun, local: &mut Vec<_>| {
+                    let _ = tx.send(SettledRow::new(plan, campaign, logging, i, &run));
+                    local.push((i, run));
+                };
+                let admit = |gauges: &mut WorkerTelemetry| {
+                    let idle_t0 = timed.then(Instant::now);
+                    let admitted = gate.admit();
                     if let Some(t0) = idle_t0 {
                         gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
                     }
+                    admitted
+                };
+                'claims: while admit(&mut gauges) {
+                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                     if start >= worklist.len() {
                         break;
                     }
                     chunks_claimed += 1;
                     let end = (start + chunk).min(worklist.len());
                     for &i in &worklist[start..end] {
-                        let idle_t0 = telemetry.map(|_| Instant::now());
-                        if abort.load(Ordering::Relaxed) || !gate.admit() {
+                        if !admit(&mut gauges) {
                             break 'claims;
                         }
-                        if let Some(t0) = idle_t0 {
-                            gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
-                        }
-                        let busy_t0 = telemetry.map(|_| Instant::now());
-                        let result = {
-                            let _s = tracing::span(names::PHASE_EXPERIMENT);
-                            match plan {
-                                // Warm start: rewind to the nearest checkpoint
-                                // preceding the fault's first activation.
-                                Some(plan) => run_experiment_checkpointed(
-                                    target.as_mut(),
-                                    campaign,
-                                    &faults[i],
-                                    plan,
-                                ),
-                                None => run_experiment(target.as_mut(), campaign, &faults[i]),
-                            }
-                        };
-                        if let Some(t0) = busy_t0 {
-                            gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-                        }
-                        match result {
-                            Ok(run) => {
-                                gauges.claimed += 1;
-                                let record = store_attached.then(|| {
-                                    record_of(campaign, experiment_name(&campaign.name, i), &run)
-                                });
-                                let _ = tx.send(FinishedExperiment {
-                                    index: i,
-                                    pruned: false,
-                                    record,
-                                });
-                                // Fan the verdict out to this experiment's
-                                // equivalence-class members, after the
-                                // representative's own message (FIFO order
-                                // is what makes stop/resume sound).
-                                if let Some(members) = class_plan.and_then(|p| p.fanout.get(&i)) {
-                                    for &m in members {
-                                        if !expected[m] {
-                                            continue; // stored row (resume)
-                                        }
-                                        tracing::value(names::COUNTER_FANNED, 1);
-                                        let fan = fanned_run(&run, &faults[m]);
-                                        let record = store_attached.then(|| {
-                                            record_of(
-                                                campaign,
-                                                experiment_name(&campaign.name, m),
-                                                &fan,
-                                            )
-                                        });
-                                        let _ = tx.send(FinishedExperiment {
-                                            index: m,
-                                            pruned: false,
-                                            record,
-                                        });
-                                        local.push((m, fan));
-                                    }
-                                }
-                                local.push((i, run));
-                            }
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
+                        let run = plan
+                            .produce(target.as_mut(), campaign, i, &[], &mut gauges, timed)
+                            .inspect_err(|_| gate.set(GateState::Stopped))?;
+                        let members = fanout.get(&i).map_or(&[][..], Vec::as_slice);
+                        let fans: Vec<ExperimentRun> = members
+                            .iter()
+                            .map(|&m| fanned_run(&run, &plan.faults[m]))
+                            .collect();
+                        settle(i, run, &mut local);
+                        for (&m, fan) in members.iter().zip(fans) {
+                            settle(m, fan, &mut local);
                         }
                     }
                 }
@@ -1729,399 +1428,49 @@ fn parallel_engine(
                 Ok(local)
             }));
         }
-
-        // The pruning pre-pass runs on this thread, concurrently with the
-        // workers: prunable outcomes are reference clones, not target
-        // executions. A stop queued before the start skips it entirely,
-        // matching the sequential runner's zero-run stop. The same pass
-        // fans out class members whose representative row was preloaded
-        // from the store (resume): no worker will execute the
-        // representative again, so their rows are synthesised here.
-        for i in 0..total {
-            if pre.stopped {
+        // Synthesised rows copy the reference or a stored representative
+        // instead of executing, so this thread settles them while the
+        // workers execute.
+        for &i in &synthesised {
+            if gate.stopped() {
                 break;
             }
-            if !expected[i] {
-                continue;
-            }
-            if prunable[i] {
-                tracing::value(names::COUNTER_PRUNED, 1);
-                let run = pruned_run(reference, &faults[i]);
-                let record = store_attached
-                    .then(|| record_of(campaign, experiment_name(&campaign.name, i), &run));
-                let _ = tx.send(FinishedExperiment {
-                    index: i,
-                    pruned: true,
-                    record,
-                });
-                slots[i] = Some(run);
-            } else if predicted[i] {
-                tracing::value(names::COUNTER_PREDICTED, 1);
-                let run = predicted_run(reference, &faults[i]);
-                let record = store_attached
-                    .then(|| record_of(campaign, experiment_name(&campaign.name, i), &run));
-                let _ = tx.send(FinishedExperiment {
-                    index: i,
-                    pruned: false,
-                    record,
-                });
-                slots[i] = Some(run);
-            } else if let Some(rep) = proxied(class_plan, i) {
-                if let Some(rep_run) = &slots[rep] {
-                    tracing::value(names::COUNTER_FANNED, 1);
-                    let run = fanned_run(rep_run, &faults[i]);
-                    let record = store_attached
-                        .then(|| record_of(campaign, experiment_name(&campaign.name, i), &run));
-                    let _ = tx.send(FinishedExperiment {
-                        index: i,
-                        pruned: false,
-                        record,
-                    });
-                    slots[i] = Some(run);
-                }
-            }
+            let run = plan
+                .synthesise(i, &slots)
+                .expect("only synthesised steps are listed");
+            let _ = tx.send(SettledRow::new(plan, campaign, logging, i, &run));
+            slots[i] = Some(run);
         }
-        drop(tx); // the writer exits once every producer is gone
+        drop(tx); // the writer returns once every producer has hung up
 
-        let mut first_error: Option<GoofiError> = None;
+        let mut produced: Result<Vec<(usize, ExperimentRun)>> = Ok(Vec::new());
         for handle in handles {
             match handle.join() {
                 Ok(Ok(local)) => {
-                    for (i, run) in local {
-                        slots[i] = Some(run);
+                    if let Ok(all) = &mut produced {
+                        all.extend(local);
                     }
                 }
                 Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
+                    if produced.is_ok() {
+                        produced = Err(e);
                     }
                 }
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        let outcome = match writer.join() {
-            Ok(outcome) => outcome,
+        match writer_thread.join() {
+            Ok((writer, written)) => (produced, writer, written),
             Err(panic) => std::panic::resume_unwind(panic),
-        };
-        (first_error, outcome)
-    });
-
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    if let Some(e) = outcome.error {
-        return Err(e);
-    }
-
-    let runs: Vec<ExperimentRun> = if outcome.stopped {
-        // Completed subset, in fault-list order (gaps where the stop hit).
-        slots.into_iter().flatten().collect()
-    } else {
-        slots
-            .into_iter()
-            .map(|s| s.ok_or_else(|| GoofiError::Protocol("missing experiment result".into())))
-            .collect::<Result<_>>()?
-    };
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Finished {
-            completed: runs.len(),
-            stopped: outcome.stopped,
-        });
-    }
-    Ok((runs, outcome.stopped))
-}
-
-/// The work-stealing parallel path: workers claim chunks of experiment
-/// indices off a shared atomic cursor, so a slow experiment never stalls
-/// work that a round-robin stripe would have pinned behind it, and
-/// pre-injection pruning is resolved in a pre-pass so only real
-/// experiments are claimed. Results are identical to the sequential path
-/// (targets are deterministic simulators): same runs, same stats, and —
-/// when `store` is given — the same rows in the same order, streamed by a
-/// dedicated writer thread as experiments finish.
-#[allow(clippy::too_many_arguments)]
-fn parallel_run(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    // Prepare on a scratch target, which then doubles as the checkpoint
-    // pilot: one execution serves every worker's restores.
-    let mut scratch = factory();
-    let (faults, prune, class_analysis) = prepare(scratch.as_mut(), campaign, options)?;
-    let config = scratch.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(scratch.as_mut(), campaign)
-    }?;
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = (0..faults.len())
-            .map(|i| skip[i] || proxied(class_plan.as_ref(), i).is_some())
-            .collect();
-        CheckpointPlan::build(scratch.as_mut(), campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-    drop(scratch);
-
-    let slots = vec![None; faults.len()];
-    let (runs, _stopped) = parallel_engine(
-        factory,
-        campaign,
-        workers,
-        store,
-        controller,
-        &faults,
-        &prunable,
-        &predicted,
-        plan.as_ref(),
-        class_plan.as_ref(),
-        &reference,
-        true,
-        slots,
-        telemetry,
-    )?;
-
-    let stats = classify(&reference, &runs);
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
-}
-
-/// The parallel resume path: rows already in the store are reused (no
-/// progress events, no re-logging), and only the missing experiments are
-/// scheduled across the worker pool. Together with the streamed logging
-/// this makes stop/resume a first-class parallel workflow.
-#[allow(clippy::too_many_arguments)]
-fn parallel_resume(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: &mut GoofiStore,
-    controller: Option<&Controller>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    let mut scratch = factory();
-    let (faults, prune, class_analysis) = prepare(scratch.as_mut(), campaign, options)?;
-    let config = scratch.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
-    let ref_name = reference_experiment_name(&campaign.name);
-    let (reference, log_reference) = match store.get_experiment(&ref_name) {
-        Ok(record) => (record.to_run(), false),
-        Err(_) => {
-            let reference = {
-                let _s = tracing::span(names::PHASE_REFERENCE);
-                reference_run(scratch.as_mut(), campaign)
-            }?;
-            (reference, true)
-        }
-    };
-
-    let slots: Vec<Option<ExperimentRun>> = (0..faults.len())
-        .map(|i| {
-            store
-                .get_experiment(&experiment_name(&campaign.name, i))
-                .ok()
-                .map(|record| record.to_run())
-        })
-        .collect();
-
-    // Checkpoint only the experiments this resume will actually run.
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = skip
-            .iter()
-            .zip(&slots)
-            .enumerate()
-            .map(|(i, (&skipped, slot))| {
-                skipped || slot.is_some() || proxied(class_plan.as_ref(), i).is_some()
-            })
-            .collect();
-        CheckpointPlan::build(scratch.as_mut(), campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-    drop(scratch);
-
-    let (runs, _stopped) = parallel_engine(
-        factory,
-        campaign,
-        workers,
-        Some(store),
-        controller,
-        &faults,
-        &prunable,
-        &predicted,
-        plan.as_ref(),
-        class_plan.as_ref(),
-        &reference,
-        log_reference,
-        slots,
-        telemetry,
-    )?;
-
-    let stats = classify(&reference, &runs);
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
-}
-
-/// The previous statically-scheduled parallel path, kept as the E8
-/// baseline: experiments are sharded round-robin (`i % workers`), every
-/// result goes through one shared mutex, and — when `store` is given —
-/// rows are logged only after the whole campaign. Use the work-stealing
-/// scheduler for real work; this exists so the static-vs-dynamic
-/// scheduling gap stays measurable across PRs.
-fn static_run(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: Option<&mut GoofiStore>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    // Prepare on a scratch target. Class execution is a work-stealing
-    // feature: the baseline scheduler executes every experiment directly.
-    let mut scratch = factory();
-    let (faults, prune, _class_analysis) = prepare(scratch.as_mut(), campaign, options)?;
-    let config = scratch.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(scratch.as_mut(), campaign)
-    }?;
-    drop(scratch);
-
-    let mut slots: Vec<Option<ExperimentRun>> = vec![None; faults.len()];
-    let errors: std::sync::Mutex<Vec<GoofiError>> = std::sync::Mutex::new(Vec::new());
-    let results: std::sync::Mutex<Vec<(usize, ExperimentRun)>> = std::sync::Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let faults = &faults;
-            let prunable = &prunable;
-            let predicted = &predicted;
-            let reference = &reference;
-            let errors = &errors;
-            let results = &results;
-            scope.spawn(move || {
-                let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-                let mut gauges = WorkerTelemetry {
-                    worker: w,
-                    ..WorkerTelemetry::default()
-                };
-                let mut target = factory();
-                for (i, fault) in faults.iter().enumerate() {
-                    if i % workers != w {
-                        continue;
-                    }
-                    if !errors.lock().expect("no poisoned lock").is_empty() {
-                        break;
-                    }
-                    let run = if prunable[i] {
-                        tracing::value(names::COUNTER_PRUNED, 1);
-                        Ok(pruned_run(reference, fault))
-                    } else if predicted[i] {
-                        tracing::value(names::COUNTER_PREDICTED, 1);
-                        Ok(predicted_run(reference, fault))
-                    } else {
-                        let busy_t0 = telemetry.map(|_| Instant::now());
-                        let run = {
-                            let _s = tracing::span(names::PHASE_EXPERIMENT);
-                            run_experiment(target.as_mut(), campaign, fault)
-                        };
-                        if let Some(t0) = busy_t0 {
-                            gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-                        }
-                        if run.is_ok() {
-                            gauges.claimed += 1;
-                        }
-                        run
-                    };
-                    match run {
-                        Ok(run) => results.lock().expect("no poisoned lock").push((i, run)),
-                        Err(e) => {
-                            errors.lock().expect("no poisoned lock").push(e);
-                            break;
-                        }
-                    }
-                }
-                if let Some(t) = telemetry {
-                    t.recorder.record_worker(gauges);
-                }
-            });
         }
     });
 
-    let static_analysis = prune.into_static();
-    let mut errors = errors.into_inner().expect("no poisoned lock");
-    if let Some(e) = errors.pop() {
-        return Err(e);
-    }
-    for (i, run) in results.into_inner().expect("no poisoned lock") {
+    let produced = produced?;
+    written?;
+    for (i, run) in produced {
         slots[i] = Some(run);
     }
-    let runs: Vec<ExperimentRun> = slots
-        .into_iter()
-        .map(|s| s.ok_or_else(|| GoofiError::Protocol("missing experiment result".into())))
-        .collect::<Result<_>>()?;
-
-    if let Some(store) = store {
-        store.log_experiment(&record_of(
-            campaign,
-            reference_experiment_name(&campaign.name),
-            &reference,
-        ))?;
-        for (i, run) in runs.iter().enumerate() {
-            store.log_experiment(&record_of(
-                campaign,
-                experiment_name(&campaign.name, i),
-                run,
-            ))?;
-        }
-    }
-
-    let stats = classify(&reference, &runs);
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
+    Ok((slots, writer.finish()?))
 }
 
 #[cfg(test)]
@@ -2287,20 +1636,6 @@ mod tests {
             assert_eq!(a.outputs, b.outputs);
             assert_eq!(a.termination, b.termination);
         }
-    }
-
-    #[test]
-    fn static_parallel_runner_matches_sequential() {
-        let c = campaign(24, (0, 19));
-        let mut t = MiniTarget::new();
-        let seq = CampaignRunner::new(&mut t, &c).run().unwrap();
-        let par = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(4)
-            .options(RunOptions::new().scheduler(Scheduler::Static))
-            .run()
-            .unwrap();
-        assert_eq!(seq.stats, par.stats);
-        assert_eq!(seq.runs.len(), par.runs.len());
     }
 
     fn store_for(c: &Campaign) -> GoofiStore {
@@ -2591,29 +1926,6 @@ mod tests {
             }
             other => panic!("expected Campaign error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn static_scheduler_rejects_observer_and_resume() {
-        let c = campaign(4, (0, 19));
-        let opts = RunOptions::new().scheduler(Scheduler::Static);
-        let (ctl, _handle) = control_channel();
-        let err = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(2)
-            .options(opts)
-            .observer(&ctl)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, GoofiError::Campaign(_)), "got {err:?}");
-
-        let mut store = store_for(&c);
-        let err = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(2)
-            .options(opts)
-            .resume_from(&mut store)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, GoofiError::Campaign(_)), "got {err:?}");
     }
 
     // ------------------------------------------------------------------

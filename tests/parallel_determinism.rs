@@ -6,11 +6,13 @@
 
 use goofi_repro::core::{
     analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, Command,
-    FaultModel, GoofiStore, LocationSelector, ProgressEvent, RunOptions, Scheduler,
-    TargetSystemInterface, Technique,
+    FaultModel, GoofiStore, LocationSelector, ProgressEvent, Result, RunOptions, StateVector,
+    StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig, TargetSystemInterface,
+    Technique, TraceStep,
 };
 use goofi_repro::targets::ThorTarget;
 use goofi_repro::workloads::sort_workload;
+use std::sync::{Arc, Condvar, Mutex};
 
 fn campaign(name: &str, n: usize) -> Campaign {
     Campaign::builder(name, "thor-card", "sort12")
@@ -55,8 +57,8 @@ fn assert_same_runs(a: &CampaignResult, b: &CampaignResult) {
     }
 }
 
-/// Workers 1, 2 and 4 (and the static round-robin ablation) all yield the
-/// sequential runner's results, and the saved databases are byte-identical.
+/// Workers 1, 2 and 4 all yield the sequential runner's results, and the
+/// saved databases are byte-identical.
 #[test]
 fn any_worker_count_is_byte_identical_to_sequential() {
     let c = campaign("det", 40);
@@ -88,20 +90,6 @@ fn any_worker_count_is_byte_identical_to_sequential() {
         );
         std::fs::remove_file(&path).ok();
     }
-
-    // The old static scheduler must agree too — E8 compares wall time only.
-    let mut store = seeded_store(&c);
-    let stat = CampaignRunner::from_factory(factory, &c)
-        .workers(4)
-        .options(RunOptions::new().scheduler(Scheduler::Static))
-        .store(&mut store)
-        .run()
-        .unwrap();
-    assert_same_runs(&seq, &stat);
-    let path = tmp("static4.json");
-    store.save(&path).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), seq_bytes);
-    std::fs::remove_file(&path).ok();
     std::fs::remove_file(&seq_path).ok();
 }
 
@@ -147,6 +135,107 @@ fn checkpointing_on_or_off_is_byte_identical() {
     }
 }
 
+/// Holds back every fault injection after the first five until the
+/// operator has sent Stop, so a stop issued after the 5th completed
+/// experiment always lands while most of the campaign is still ahead.
+#[derive(Default)]
+struct Park {
+    /// Injections so far, and whether Stop has been sent.
+    state: Mutex<(usize, bool)>,
+    cv: Condvar,
+}
+
+impl Park {
+    fn inject(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        if state.0 > 5 {
+            let _released = self.cv.wait_while(state, |s| !s.1).unwrap();
+        }
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+/// A Thor target whose scan-chain writes (one per experiment in a
+/// single-bit transient campaign, none in the reference run or the
+/// checkpoint pilot) pass through a [`Park`]. Every other call is
+/// forwarded unchanged.
+struct ParkingTarget {
+    inner: ThorTarget,
+    park: Arc<Park>,
+}
+
+impl TargetSystemInterface for ParkingTarget {
+    fn target_name(&self) -> &str {
+        self.inner.target_name()
+    }
+    fn describe(&self) -> TargetSystemConfig {
+        self.inner.describe()
+    }
+    fn init_test_card(&mut self) -> Result<()> {
+        self.inner.init_test_card()
+    }
+    fn load_workload(&mut self) -> Result<()> {
+        self.inner.load_workload()
+    }
+    fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
+        self.inner.write_memory(addr, data)
+    }
+    fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
+        self.inner.read_memory(addr, len)
+    }
+    fn set_breakpoint(&mut self, time: u64) -> Result<()> {
+        self.inner.set_breakpoint(time)
+    }
+    fn run_workload(&mut self) -> Result<()> {
+        self.inner.run_workload()
+    }
+    fn wait_for_breakpoint(&mut self) -> Result<TargetEvent> {
+        self.inner.wait_for_breakpoint()
+    }
+    fn wait_for_termination(&mut self) -> Result<TargetEvent> {
+        self.inner.wait_for_termination()
+    }
+    fn read_scan_chain(&mut self, chain: &str) -> Result<StateVector> {
+        self.inner.read_scan_chain(chain)
+    }
+    fn write_scan_chain(&mut self, chain: &str, bits: &StateVector) -> Result<()> {
+        self.park.inject();
+        self.inner.write_scan_chain(chain, bits)
+    }
+    fn observe_state(&mut self) -> Result<StateVector> {
+        self.inner.observe_state()
+    }
+    fn read_outputs(&mut self) -> Result<Vec<u32>> {
+        self.inner.read_outputs()
+    }
+    fn step_instruction(&mut self) -> Result<Option<TargetEvent>> {
+        self.inner.step_instruction()
+    }
+    fn collect_trace(&mut self) -> Result<Vec<TraceStep>> {
+        self.inner.collect_trace()
+    }
+    fn static_analysis(&mut self, horizon: u64) -> Result<StaticAnalysis> {
+        self.inner.static_analysis(horizon)
+    }
+    fn instructions_retired(&mut self) -> Result<u64> {
+        self.inner.instructions_retired()
+    }
+    fn iterations_completed(&mut self) -> Result<u32> {
+        self.inner.iterations_completed()
+    }
+    fn snapshot(&mut self) -> Result<TargetSnapshot> {
+        self.inner.snapshot()
+    }
+    fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
+        self.inner.restore(snapshot)
+    }
+}
+
 /// A campaign stopped mid-flight and resumed in parallel ends with exactly
 /// the rows and statistics of an uninterrupted run.
 #[test]
@@ -161,8 +250,18 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
         .unwrap();
     let full_rows = full_store.experiments_of("det-resume").unwrap();
 
-    // Stop after the 5th completed experiment.
+    // Stop after the 5th completed experiment. No later experiment can
+    // inject before the Stop is sent, so at most one experiment per
+    // worker is still in flight when it lands.
+    let park = Arc::new(Park::default());
+    let parking_factory = || {
+        Box::new(ParkingTarget {
+            inner: ThorTarget::new("thor-card", sort_workload(12, 9)),
+            park: park.clone(),
+        }) as Box<dyn TargetSystemInterface>
+    };
     let (controller, handle) = control_channel();
+    let watcher_park = park.clone();
     let watcher = std::thread::spawn(move || {
         let mut done = 0;
         while let Some(event) = handle.next() {
@@ -171,6 +270,7 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
                     done += 1;
                     if done == 5 {
                         handle.send(Command::Stop);
+                        watcher_park.release();
                     }
                 }
                 ProgressEvent::Finished { .. } => break,
@@ -179,7 +279,7 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
         }
     });
     let mut store = seeded_store(&c);
-    let stopped = CampaignRunner::from_factory(factory, &c)
+    let stopped = CampaignRunner::from_factory(parking_factory, &c)
         .workers(2)
         .store(&mut store)
         .observer(&controller)
