@@ -331,6 +331,15 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_snapshot_is_an_error_not_a_stack_overflow() {
+        let hostile = format!("{{\"tables\":{}", "[".repeat(1_000_000));
+        match Database::from_json(&hostile) {
+            Err(crate::DbError::Io(msg)) => assert!(msg.contains("recursion limit"), "{msg}"),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn journal_replays_rows_appended_after_snapshot() {
         let db = sample();
         let path = tmpdir("journal").join("db.json");

@@ -1,5 +1,6 @@
 //! The binary frame envelope: magic, version, kind, length, CRC.
 
+use crate::codec;
 use crate::crc::crc32;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -7,8 +8,9 @@ use std::io::{Read, Write};
 
 /// The protocol version this build speaks. Bumped only when existing
 /// frame or message encodings change; new message kinds are additive
-/// (the enums are `#[non_exhaustive]`).
-pub const PROTOCOL_VERSION: u16 = 1;
+/// (the enums are `#[non_exhaustive]`). Version 1 carried JSON text
+/// payloads; version 2 carries the binary payload codec.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a frame's payload length. Larger declared lengths are
 /// rejected before any allocation — a corrupted length field must not
@@ -188,11 +190,11 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// [`NetError::Codec`] on serialization failure, [`NetError::TooLarge`]
-    /// when the encoded message exceeds [`MAX_FRAME_LEN`].
+    /// [`NetError::TooLarge`] when the encoded message exceeds
+    /// [`MAX_FRAME_LEN`].
     pub fn encode_msg<T: Serialize>(kind: FrameKind, msg: &T) -> NetResult<Frame> {
-        let json = serde_json::to_string(msg).map_err(|e| NetError::Codec(e.to_string()))?;
-        let payload = json.into_bytes();
+        let mut payload = Vec::new();
+        codec::encode(&msg.to_content(), &mut payload);
         if payload.len() as u64 > MAX_FRAME_LEN as u64 {
             return Err(NetError::TooLarge {
                 len: payload.len() as u32,
@@ -223,9 +225,8 @@ impl Frame {
                 got: self.kind,
             });
         }
-        let text = std::str::from_utf8(&self.payload)
-            .map_err(|e| NetError::Codec(format!("payload is not UTF-8: {e}")))?;
-        serde_json::from_str(text).map_err(|e| NetError::Codec(e.to_string()))
+        let content = codec::decode(&self.payload).map_err(NetError::Codec)?;
+        T::from_content(&content).map_err(|e| NetError::Codec(e.to_string()))
     }
 
     /// The frame's full wire encoding.
@@ -451,14 +452,33 @@ mod tests {
 
     #[test]
     fn foreign_version_decodes_as_envelope_but_not_as_message() {
-        let mut frame = Frame::new(FrameKind::Request, b"{}".to_vec());
-        frame.version = PROTOCOL_VERSION + 1;
-        let bytes = frame.encode();
-        let (back, _) = Frame::decode(&bytes).expect("envelope is version-independent");
-        assert_eq!(back.version, PROTOCOL_VERSION + 1);
-        let err = back
-            .decode_msg::<crate::Request>(FrameKind::Request)
-            .unwrap_err();
-        assert!(matches!(err, NetError::VersionMismatch { .. }));
+        // Version 1 carried JSON text: `"Jobs"` is a v1 `Request::Jobs`.
+        for version in [1, PROTOCOL_VERSION + 1] {
+            let mut frame = Frame::new(FrameKind::Request, b"\"Jobs\"".to_vec());
+            frame.version = version;
+            let bytes = frame.encode();
+            let (back, _) = Frame::decode(&bytes).expect("envelope is version-independent");
+            assert_eq!(back.version, version);
+            match back.decode_msg::<crate::Request>(FrameKind::Request) {
+                Err(NetError::VersionMismatch { got, want }) => {
+                    assert_eq!((got, want), (version, PROTOCOL_VERSION))
+                }
+                other => panic!("v{version}: expected a version mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deeply_nested_request_is_a_codec_error_not_a_stack_overflow() {
+        // A million nested one-element sequences (tag 7, count 1) behind
+        // a valid header and CRC.
+        let mut payload = [7u8, 1].repeat(1_000_000);
+        payload.push(0);
+        let bytes = Frame::new(FrameKind::Request, payload).encode();
+        let (frame, _) = Frame::decode(&bytes).expect("envelope decodes");
+        match crate::Request::from_frame(&frame) {
+            Err(NetError::Codec(msg)) => assert!(msg.contains("deeper than 128"), "{msg}"),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
     }
 }

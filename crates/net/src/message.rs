@@ -240,7 +240,7 @@ macro_rules! frame_convertible {
             ///
             /// # Errors
             ///
-            /// [`crate::NetError::Codec`] / [`crate::NetError::TooLarge`].
+            /// [`crate::NetError::TooLarge`].
             pub fn to_frame(&self) -> NetResult<Frame> {
                 Frame::encode_msg($kind, self)
             }

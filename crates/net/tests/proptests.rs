@@ -9,8 +9,8 @@ use goofi_core::service::{
 use goofi_core::store::{ExperimentData, ExperimentRecord};
 use goofi_core::{Campaign, LocationSelector, TargetEvent};
 use goofi_net::{
-    read_frame, Event, Frame, IndexedRecord, JobListEntry, NetError, Request, Response, WireError,
-    WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
+    read_frame, Event, Frame, FrameKind, IndexedRecord, JobListEntry, NetError, Request, Response,
+    WireError, WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -252,6 +252,34 @@ macro_rules! check_roundtrip {
     }};
 }
 
+/// Wraps `payload` in a current-version frame with a correct CRC and
+/// decodes it as each of the five message kinds. Past the envelope checks
+/// the only acceptable failure is a typed codec error; returns the first
+/// other outcome, described.
+fn decode_as_every_kind(payload: &[u8]) -> Result<(), String> {
+    fn check<T: std::fmt::Debug>(
+        kind: FrameKind,
+        payload: &[u8],
+        decode: fn(&Frame) -> Result<T, NetError>,
+    ) -> Result<(), String> {
+        let bytes = Frame::new(kind, payload.to_vec()).encode();
+        let (frame, _) = Frame::decode(&bytes).map_err(|e| format!("envelope: {e:?}"))?;
+        match decode(&frame) {
+            Ok(_) | Err(NetError::Codec(_)) => Ok(()),
+            Err(other) => Err(format!("{kind:?} payload {payload:?}: {other:?}")),
+        }
+    }
+    check(FrameKind::Request, payload, Request::from_frame)?;
+    check(FrameKind::Response, payload, Response::from_frame)?;
+    check(FrameKind::Event, payload, Event::from_frame)?;
+    check(FrameKind::WorkerRequest, payload, WorkerRequest::from_frame)?;
+    check(
+        FrameKind::WorkerResponse,
+        payload,
+        WorkerResponse::from_frame,
+    )
+}
+
 proptest! {
     #[test]
     fn request_roundtrip(msg in arb_request()) {
@@ -323,6 +351,42 @@ proptest! {
             ) => {}
             Err(other) => prop_assert!(false, "untyped error at {}: {:?}", pos, other),
             Ok(back) => prop_assert!(false, "corrupt byte at {} decoded silently: {:?}", pos, back),
+        }
+    }
+
+    /// Arbitrary payload bytes behind a valid envelope reach the payload
+    /// codec and come back `Ok` or [`NetError::Codec`] for every message
+    /// kind. Bytes drawn from `0..12` are mostly valid tags and small
+    /// counts, so they build nested trees instead of failing on the
+    /// first tag.
+    #[test]
+    fn crafted_payloads_yield_typed_errors(
+        payload in prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..256),
+            prop::collection::vec(0u8..12, 0..256),
+        ]
+    ) {
+        if let Err(e) = decode_as_every_kind(&payload) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// A valid payload with one byte changed or the tail cut off, behind
+    /// a recomputed CRC, still decodes to `Ok` or [`NetError::Codec`].
+    #[test]
+    fn mutated_payloads_yield_typed_errors(
+        msg in arb_worker_response(),
+        pos_frac in 0usize..1000,
+        flip in 0u8..=255,
+    ) {
+        let payload = msg.to_frame().expect("encodes").payload;
+        let pos = payload.len() * pos_frac / 1000;
+        let mut changed = payload.clone();
+        changed[pos] ^= flip;
+        for bad in [&changed[..], &payload[..pos]] {
+            if let Err(e) = decode_as_every_kind(bad) {
+                prop_assert!(false, "{}", e);
+            }
         }
     }
 

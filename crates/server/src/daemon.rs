@@ -116,7 +116,8 @@ fn serve_connection<S: CampaignService>(
         other => other?,
     };
     // The envelope is version-independent, so a mismatched peer gets a
-    // typed answer it can decode (the error payload is plain JSON).
+    // typed answer: a same-version peer decodes the error, an older one
+    // reads this build's version off the response header.
     if frame.version != PROTOCOL_VERSION {
         return respond(
             &mut stream,
