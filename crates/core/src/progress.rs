@@ -32,6 +32,21 @@ pub enum ProgressEvent {
     Paused,
     /// The campaign resumed.
     Resumed,
+    /// A worker process completed its handshake (process pools only).
+    WorkerSpawned {
+        /// Worker slot index.
+        worker: usize,
+        /// Operating-system process id.
+        pid: u32,
+    },
+    /// A worker process died; its outstanding chunk went back to the
+    /// pool.
+    WorkerLost {
+        /// Worker slot index.
+        worker: usize,
+        /// Experiments re-issued to the pool.
+        reissued: usize,
+    },
     /// The campaign finished (all experiments, or stopped early).
     Finished {
         /// Experiments completed.

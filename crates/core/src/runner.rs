@@ -15,14 +15,20 @@
 //!   [`plan_campaign`], which `goofi-server` worker processes call, is the
 //!   same builder with class execution off and no store.
 //! * **Executor.** `workers(1)` (the default) produces every row on the
-//!   calling thread. `workers(n)` with [`CampaignRunner::from_factory`]
-//!   runs a work-stealing pool (experiment E8): each worker drives its own
-//!   target and claims chunks of indices off a shared atomic cursor.
+//!   calling thread. Otherwise a pool runs (experiment E8): its workers
+//!   claim chunks of the executed indices off a shared cursor, pass a
+//!   pause/stop gate, and a chunk a worker lost goes back to the queue.
+//!   The pool has two worker kinds. With [`CampaignRunner::from_factory`]
+//!   and `workers(n)`, each worker is a thread driving its own target.
+//!   With [`CampaignRunner::processes`], each worker drives a child
+//!   process that derives the same plan and executes the chunks it is
+//!   shipped; `goofi-server` supplies the processes ([`WorkerProcesses`]),
+//!   and a process that dies is replaced within a respawn budget.
 //! * **Writer.** One writer logs rows to the store in fault-list order (a
-//!   reorder buffer, so every worker count writes a byte-identical
-//!   database), emits progress events and applies the operator's
-//!   pause/resume/stop commands. The in-thread executor calls it inline;
-//!   the pool feeds it over a channel on a dedicated thread.
+//!   reorder buffer, so every worker count and kind writes a
+//!   byte-identical database), emits progress events and applies the
+//!   operator's pause/resume/stop commands. The in-thread executor calls
+//!   it inline; the pool feeds it over a channel on a dedicated thread.
 //!
 //! When [`RunOptions::telemetry`] is enabled the runner installs a
 //! [`goofi_telemetry::Recorder`] (thread-locally, on every campaign
@@ -44,6 +50,7 @@ use crate::store::{reference_experiment_name, ExperimentData, ExperimentRecord, 
 use crate::target::{TargetSystemConfig, TargetSystemInterface};
 use goofi_telemetry::{names, CampaignTelemetry, Recorder, TelemetryMode, WorkerTelemetry};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -217,6 +224,48 @@ enum TargetSource<'a> {
     Factory(Box<Factory<'a>>),
 }
 
+/// The out-of-process worker kind of the pool (`goofi-server` implements
+/// it): each worker drives a child process that derives the plan itself
+/// and executes the chunks of indices it is shipped. Claims, re-issue of
+/// a lost chunk, the gate and the writer stay in the runner.
+pub trait WorkerProcesses: Send + Sync {
+    /// Worker processes per job.
+    fn workers(&self) -> usize;
+    /// Experiment indices shipped per chunk.
+    fn chunk(&self) -> usize;
+    /// Replacement processes a job may start; the next loss fails it.
+    fn max_respawns(&self) -> usize;
+    /// Starts one worker process for `campaign` under `options` and
+    /// completes its handshake; `Ok(None)` when it died before it was
+    /// ready.
+    ///
+    /// # Errors
+    ///
+    /// [`GoofiError::Service`] when the process cannot be started,
+    /// reports a failure, or derived a plan that disagrees with `plan`.
+    fn spawn(
+        &self,
+        campaign: &Campaign,
+        options: &RunOptions,
+        plan: &CampaignPlan,
+    ) -> Result<Option<Box<dyn WorkerProcess>>>;
+}
+
+/// One live worker process of a [`WorkerProcesses`] pool.
+pub trait WorkerProcess: Send {
+    /// The operating-system process id.
+    fn pid(&self) -> u32;
+    /// Executes experiments `indices` in the process and returns their
+    /// records in the same order. `Ok(None)` when the process died
+    /// meanwhile; the pool then re-issues the chunk.
+    ///
+    /// # Errors
+    ///
+    /// A failure the process reported, or rows that do not answer
+    /// `indices`.
+    fn run_chunk(&mut self, indices: &[usize]) -> Result<Option<Vec<ExperimentRecord>>>;
+}
+
 /// The single campaign entry point: a builder selecting target source,
 /// worker count, options, observer, store and resume, then [`run`].
 ///
@@ -245,6 +294,7 @@ pub struct CampaignRunner<'a> {
     controller: Option<&'a Controller>,
     store: Option<&'a mut GoofiStore>,
     resume: bool,
+    processes: Option<&'a dyn WorkerProcesses>,
 }
 
 impl<'a> CampaignRunner<'a> {
@@ -263,6 +313,7 @@ impl<'a> CampaignRunner<'a> {
             controller: None,
             store: None,
             resume: false,
+            processes: None,
         }
     }
 
@@ -281,6 +332,7 @@ impl<'a> CampaignRunner<'a> {
             controller: None,
             store: None,
             resume: false,
+            processes: None,
         }
     }
 
@@ -324,9 +376,19 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
+    /// Runs the executed experiments on worker processes instead of
+    /// threads: the pool's size, chunk size and respawn budget come from
+    /// `processes`, and [`workers`](CampaignRunner::workers) is ignored.
+    /// This process only plans, settles the synthesised rows and writes,
+    /// so its plan skips the checkpoint cache and class execution.
+    pub fn processes(mut self, processes: &'a dyn WorkerProcesses) -> Self {
+        self.processes = Some(processes);
+        self
+    }
+
     /// Runs the campaign: builds the plan, hands it to the in-thread
-    /// executor (one worker) or the work-stealing pool (more), then
-    /// classifies the runs.
+    /// executor (one worker) or the pool (more, or worker processes),
+    /// then classifies the runs.
     ///
     /// # Errors
     ///
@@ -343,7 +405,9 @@ impl<'a> CampaignRunner<'a> {
             controller,
             mut store,
             resume,
+            processes,
         } = self;
+        let workers = processes.map_or(workers, |p| p.workers());
         if workers == 0 {
             return Err(GoofiError::Campaign(
                 "worker count must be at least 1".into(),
@@ -364,7 +428,9 @@ impl<'a> CampaignRunner<'a> {
         let factory;
         let mut scratch = None;
         let target: &mut dyn TargetSystemInterface = match source {
-            TargetSource::Single(_) if workers > 1 => return Err(needs_factory(workers)),
+            TargetSource::Single(_) if workers > 1 && processes.is_none() => {
+                return Err(needs_factory(workers))
+            }
             TargetSource::Single(target) => {
                 factory = None;
                 target
@@ -375,31 +441,31 @@ impl<'a> CampaignRunner<'a> {
                 target
             }
         };
+        // Worker processes build their own plans, and only they execute.
+        let plan_options = match processes {
+            Some(_) => options.checkpoint(false).class_execution(false),
+            None => options,
+        };
         let (plan, slots) = build_plan(
             target,
             campaign,
-            &options,
+            &plan_options,
             store.as_deref().filter(|_| resume),
         )?;
         let writer = Writer::start(store.as_deref_mut(), controller, campaign, &plan)?;
         let telemetry_ref = telemetry.as_ref();
-        let (slots, stopped) = if workers == 1 {
-            run_in_thread(target, campaign, &plan, slots, writer, telemetry_ref)?
-        } else {
-            // Every pool worker builds its own target.
-            drop(scratch);
-            let factory = factory
-                .as_deref()
-                .expect("a single target was rejected above for more than one worker");
-            run_pool(
-                factory,
-                campaign,
-                workers,
-                &plan,
-                slots,
-                writer,
-                telemetry_ref,
-            )?
+        let kind = match (processes, factory.as_deref()) {
+            (Some(processes), _) => Some(WorkerKind::Processes(processes, &options)),
+            (None, Some(factory)) if workers > 1 => Some(WorkerKind::Threads(factory)),
+            _ => None,
+        };
+        let (slots, stopped) = match kind {
+            None => run_in_thread(target, campaign, &plan, slots, writer, telemetry_ref)?,
+            Some(kind) => {
+                // Every pool worker brings its own target.
+                drop(scratch);
+                run_pool(kind, campaign, workers, &plan, slots, writer, telemetry_ref)?
+            }
         };
         let runs: Vec<ExperimentRun> = if stopped {
             // Completed subset, in fault-list order (gaps where the stop hit).
@@ -1306,19 +1372,31 @@ impl SettledRow {
     }
 }
 
-/// The `workers > 1` executor: a work-stealing pool.
+/// The kind of worker a pool runs.
+#[derive(Clone, Copy)]
+enum WorkerKind<'a> {
+    /// A thread driving its own target from the factory.
+    Threads(&'a Factory<'a>),
+    /// A thread driving a worker process, which plans under the options.
+    Processes(&'a dyn WorkerProcesses, &'a RunOptions),
+}
+
+/// The pool executor: workers of one [`WorkerKind`] execute, the calling
+/// thread synthesises and a writer thread logs.
 ///
 /// * Workers claim chunks of the executed indices off a shared atomic
 ///   cursor (chunked claims amortise contention), so a slow experiment
-///   never stalls work a fixed partition would have pinned behind it.
-///   Each worker buffers its runs locally; buffers merge after the join.
+///   never stalls work a fixed partition would have pinned behind it. A
+///   chunk whose worker process died is claimed again before any new
+///   one. Each worker buffers its runs locally; buffers merge after the
+///   join.
 /// * The calling thread settles the synthesised rows (pruned, predicted,
 ///   fanned from a stored representative) meanwhile, until a stop.
 /// * A class member whose representative executes here is fanned out by
 ///   the worker that executes the representative, right after the
 ///   representative's own row: FIFO channel order then guarantees a
 ///   member row reaches the store only after its representative's, which
-///   keeps stop/resume sound.
+///   keeps stop/resume sound. (Plans run on processes have no classes.)
 /// * The writer runs on its own thread. The first worker or writer
 ///   error stops the gate, which ends the pool.
 /// * With telemetry enabled, every worker (and the writer) installs the
@@ -1326,7 +1404,7 @@ impl SettledRow {
 ///   executed, chunk claims beyond the first ("steals" relative to a
 ///   one-shot partition), busy and idle time.
 fn run_pool(
-    factory: &Factory<'_>,
+    kind: WorkerKind<'_>,
     campaign: &Campaign,
     workers: usize,
     plan: &CampaignPlan,
@@ -1346,28 +1424,41 @@ fn run_pool(
             _ => synthesised.push(i),
         }
     }
-    // Large enough to amortise cursor contention, small enough that a
-    // slow experiment cannot strand a long tail behind one worker.
-    let chunk = (worklist.len() / (workers * 4)).clamp(1, 32);
+    let chunk = match kind {
+        // Large enough to amortise cursor contention, small enough that a
+        // slow experiment cannot strand a long tail behind one worker.
+        WorkerKind::Threads(_) => (worklist.len() / (workers * 4)).clamp(1, 32),
+        WorkerKind::Processes(processes, _) => processes.chunk().max(1),
+    };
 
     // Commands queued before the start take effect before the first
     // claim, so a pre-sent Stop or Pause is deterministic.
     writer.drain_commands();
-    let gate = Gate::new(writer.gate_state());
-    let cursor = AtomicUsize::new(0);
-    let logging = writer.logging();
-    let timed = telemetry.is_some();
+    let pool = Pool {
+        campaign,
+        plan,
+        worklist: &worklist,
+        fanout: &fanout,
+        chunk,
+        cursor: AtomicUsize::new(0),
+        returned: parking_lot::Mutex::new(Vec::new()),
+        gate: Gate::new(writer.gate_state()),
+        controller: writer.controller,
+        logging: writer.logging(),
+        timed: telemetry.is_some(),
+        respawns: AtomicUsize::new(0),
+    };
     let (tx, rx) = crossbeam::channel::unbounded::<SettledRow>();
 
     let (produced, writer, written) = std::thread::scope(|scope| {
-        let (gate, cursor, worklist, fanout) = (&gate, &cursor, &worklist, &fanout);
+        let pool = &pool;
         let writer_thread = scope.spawn(move || {
             // Store logging happens here, so journal/store spans are only
             // visible if this thread carries the dispatch too.
             let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-            let written = writer.serve(rx, gate);
+            let written = writer.serve(rx, &pool.gate);
             if written.is_err() {
-                gate.set(GateState::Stopped);
+                pool.gate.set(GateState::Stopped);
             }
             (writer, written)
         });
@@ -1377,68 +1468,40 @@ fn run_pool(
             let tx = tx.clone();
             handles.push(scope.spawn(move || -> Result<Vec<(usize, ExperimentRun)>> {
                 let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-                let mut gauges = WorkerTelemetry {
-                    worker: w,
-                    ..WorkerTelemetry::default()
+                let mut worker = PoolWorker {
+                    gauges: WorkerTelemetry {
+                        worker: w,
+                        ..WorkerTelemetry::default()
+                    },
+                    chunks: 0,
+                    local: Vec::new(),
+                    tx,
                 };
-                let mut chunks_claimed = 0u64;
-                let mut target = factory();
-                let mut local: Vec<(usize, ExperimentRun)> = Vec::new();
-                let settle = |i: usize, run: ExperimentRun, local: &mut Vec<_>| {
-                    let _ = tx.send(SettledRow::new(plan, campaign, logging, i, &run));
-                    local.push((i, run));
+                let done = match kind {
+                    WorkerKind::Threads(factory) => pool.run_thread(factory, &mut worker),
+                    WorkerKind::Processes(processes, options) => {
+                        pool.run_process(processes, options, w, &mut worker)
+                    }
                 };
-                let admit = |gauges: &mut WorkerTelemetry| {
-                    let idle_t0 = timed.then(Instant::now);
-                    let admitted = gate.admit();
-                    if let Some(t0) = idle_t0 {
-                        gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
-                    }
-                    admitted
-                };
-                'claims: while admit(&mut gauges) {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= worklist.len() {
-                        break;
-                    }
-                    chunks_claimed += 1;
-                    let end = (start + chunk).min(worklist.len());
-                    for &i in &worklist[start..end] {
-                        if !admit(&mut gauges) {
-                            break 'claims;
-                        }
-                        let run = plan
-                            .produce(target.as_mut(), campaign, i, &[], &mut gauges, timed)
-                            .inspect_err(|_| gate.set(GateState::Stopped))?;
-                        let members = fanout.get(&i).map_or(&[][..], Vec::as_slice);
-                        let fans: Vec<ExperimentRun> = members
-                            .iter()
-                            .map(|&m| fanned_run(&run, &plan.faults[m]))
-                            .collect();
-                        settle(i, run, &mut local);
-                        for (&m, fan) in members.iter().zip(fans) {
-                            settle(m, fan, &mut local);
-                        }
-                    }
-                }
                 if let Some(t) = telemetry {
-                    gauges.steals = chunks_claimed.saturating_sub(1);
-                    t.recorder.record_worker(gauges);
+                    worker.gauges.steals = worker.chunks.saturating_sub(1);
+                    t.recorder.record_worker(worker.gauges);
                 }
-                Ok(local)
+                done.inspect_err(|_| pool.gate.set(GateState::Stopped))?;
+                Ok(worker.local)
             }));
         }
         // Synthesised rows copy the reference or a stored representative
         // instead of executing, so this thread settles them while the
         // workers execute.
         for &i in &synthesised {
-            if gate.stopped() {
+            if pool.gate.stopped() {
                 break;
             }
             let run = plan
                 .synthesise(i, &slots)
                 .expect("only synthesised steps are listed");
-            let _ = tx.send(SettledRow::new(plan, campaign, logging, i, &run));
+            let _ = tx.send(SettledRow::new(plan, campaign, pool.logging, i, &run));
             slots[i] = Some(run);
         }
         drop(tx); // the writer returns once every producer has hung up
@@ -1471,6 +1534,182 @@ fn run_pool(
         slots[i] = Some(run);
     }
     Ok((slots, writer.finish()?))
+}
+
+/// What the workers of one pool share.
+struct Pool<'a> {
+    campaign: &'a Campaign,
+    plan: &'a CampaignPlan,
+    worklist: &'a [usize],
+    fanout: &'a BTreeMap<usize, Vec<usize>>,
+    chunk: usize,
+    cursor: AtomicUsize,
+    /// Chunks (worklist ranges) given back by lost worker processes.
+    returned: parking_lot::Mutex<Vec<Range<usize>>>,
+    gate: Gate,
+    controller: Option<&'a Controller>,
+    logging: bool,
+    timed: bool,
+    respawns: AtomicUsize,
+}
+
+/// One pool worker's own state; `local` merges into the slots after the
+/// join.
+struct PoolWorker {
+    gauges: WorkerTelemetry,
+    chunks: u64,
+    local: Vec<(usize, ExperimentRun)>,
+    tx: crossbeam::channel::Sender<SettledRow>,
+}
+
+impl PoolWorker {
+    fn settle(&mut self, row: SettledRow, run: ExperimentRun) {
+        self.local.push((row.index, run));
+        let _ = self.tx.send(row);
+    }
+}
+
+impl Pool<'_> {
+    /// Blocks while paused, counting the wait as idle time; `false` once
+    /// the campaign is stopped.
+    fn admit(&self, worker: &mut PoolWorker) -> bool {
+        let idle_t0 = self.timed.then(Instant::now);
+        let admitted = self.gate.admit();
+        if let Some(t0) = idle_t0 {
+            worker.gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        admitted
+    }
+
+    /// The next chunk of worklist positions: a returned one first.
+    fn claim(&self, worker: &mut PoolWorker) -> Option<Range<usize>> {
+        let chunk = self.returned.lock().pop().or_else(|| {
+            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+            let end = (start + self.chunk).min(self.worklist.len());
+            (start < end).then_some(start..end)
+        })?;
+        worker.chunks += 1;
+        Some(chunk)
+    }
+
+    /// A thread worker: executes its claims on its own target, admitted
+    /// one experiment at a time.
+    fn run_thread(&self, factory: &Factory<'_>, worker: &mut PoolWorker) -> Result<()> {
+        let (plan, campaign, logging) = (self.plan, self.campaign, self.logging);
+        let mut target = factory();
+        'claims: while self.admit(worker) {
+            let Some(chunk) = self.claim(worker) else {
+                break;
+            };
+            for &i in &self.worklist[chunk] {
+                if !self.admit(worker) {
+                    break 'claims;
+                }
+                let run = plan.produce(
+                    target.as_mut(),
+                    campaign,
+                    i,
+                    &[],
+                    &mut worker.gauges,
+                    self.timed,
+                )?;
+                let members = self.fanout.get(&i).map_or(&[][..], Vec::as_slice);
+                let fans: Vec<ExperimentRun> = members
+                    .iter()
+                    .map(|&m| fanned_run(&run, &plan.faults[m]))
+                    .collect();
+                worker.settle(SettledRow::new(plan, campaign, logging, i, &run), run);
+                for (&m, fan) in members.iter().zip(fans) {
+                    worker.settle(SettledRow::new(plan, campaign, logging, m, &fan), fan);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A process worker: ships its claims to its process, admitted one
+    /// chunk at a time. A chunk whose process died goes back to the pool.
+    fn run_process(
+        &self,
+        processes: &dyn WorkerProcesses,
+        options: &RunOptions,
+        mut slot: usize,
+        worker: &mut PoolWorker,
+    ) -> Result<()> {
+        // A pool with nothing to execute, or stopped before it began,
+        // starts no process.
+        if self.worklist.is_empty() || self.gate.stopped() {
+            return Ok(());
+        }
+        let mut process = self.start(processes, options, &mut slot, None)?;
+        while self.admit(worker) {
+            let Some(chunk) = self.claim(worker) else {
+                break;
+            };
+            let indices = &self.worklist[chunk.clone()];
+            let busy_t0 = self.timed.then(Instant::now);
+            let Some(records) = process.run_chunk(indices)? else {
+                self.returned.lock().push(chunk);
+                process = self.start(processes, options, &mut slot, Some(indices.len()))?;
+                continue;
+            };
+            if let Some(t0) = busy_t0 {
+                worker.gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
+            }
+            worker.gauges.claimed += indices.len() as u64;
+            for (&index, record) in indices.iter().zip(records) {
+                let run = record.to_run();
+                let row = SettledRow {
+                    index,
+                    pruned: false,
+                    record: self.logging.then_some(record),
+                };
+                worker.settle(row, run);
+            }
+        }
+        Ok(())
+    }
+
+    /// Starts a worker process in `slot`. After a loss (of `lost`
+    /// experiments), a replacement takes a new slot while the respawn
+    /// budget lasts; so does one for a process that dies unready.
+    fn start(
+        &self,
+        processes: &dyn WorkerProcesses,
+        options: &RunOptions,
+        slot: &mut usize,
+        mut lost: Option<usize>,
+    ) -> Result<Box<dyn WorkerProcess>> {
+        let emit = |event| {
+            if let Some(ctl) = self.controller {
+                ctl.emit(event);
+            }
+        };
+        loop {
+            if let Some(reissued) = lost {
+                emit(ProgressEvent::WorkerLost {
+                    worker: *slot,
+                    reissued,
+                });
+                let budget = processes.max_respawns();
+                let used = self.respawns.fetch_add(1, Ordering::Relaxed);
+                if used >= budget {
+                    return Err(GoofiError::Service(format!(
+                        "worker pool exhausted after {budget} respawns"
+                    )));
+                }
+                *slot = processes.workers() + used;
+            }
+            if let Some(process) = processes.spawn(self.campaign, options, self.plan)? {
+                emit(ProgressEvent::WorkerSpawned {
+                    worker: *slot,
+                    pid: process.pid(),
+                });
+                return Ok(process);
+            }
+            lost = Some(0);
+        }
+    }
 }
 
 #[cfg(test)]

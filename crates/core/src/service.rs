@@ -11,20 +11,21 @@
 //! * `RemoteService` (in `goofi-net`) — speaks the wire protocol to a
 //!   `goofi-server` daemon: `goofi submit` / `watch` / `attach` /
 //!   `cancel` go through it.
-//! * `ProcessService` (in `goofi-server`) — the daemon's multi-process
-//!   engine farming experiments out to `goofi worker` children.
+//! * `ProcessService` (in `goofi-server`) — the daemon's service: a
+//!   [`LocalService`] whose runner pool drives `goofi worker` processes
+//!   ([`LocalService::processes`]). It shares the job thread, the
+//!   cancel path and the summary below; only the worker kind differs.
 //!
-//! All three share one event vocabulary ([`ServiceEvent`]) and one job
-//! bookkeeping structure ([`JobRegistry`]), so a progress renderer
-//! written against the trait works identically for a campaign running in
-//! the same process, in worker processes on the same machine, or behind
-//! a socket.
+//! All three share one event vocabulary ([`ServiceEvent`]), so a
+//! progress renderer written against the trait works identically for a
+//! campaign running in the same process, in worker processes on the same
+//! machine, or behind a socket.
 
 use crate::analysis::CampaignStats;
 use crate::campaign::Campaign;
 use crate::error::{GoofiError, Result};
 use crate::progress::{control_channel, Command, ControlHandle, Controller, ProgressEvent};
-use crate::runner::{CampaignResult, CampaignRunner, RunOptions};
+use crate::runner::{CampaignResult, CampaignRunner, RunOptions, WorkerProcesses};
 use crate::staticanalysis::{Pruning, StaticAnalysis};
 use crate::store::GoofiStore;
 use crate::target::TargetSystemInterface;
@@ -44,12 +45,14 @@ pub type JobId = String;
 /// of [`RunOptions`] plus the worker count, so a whole execution request
 /// can ship over the wire protocol unchanged.
 ///
-/// `workers` means threads for [`LocalService`] and worker *processes*
-/// for the server.
+/// `workers` means threads for [`LocalService`]. A served job runs on
+/// the daemon's worker processes instead, sized by `goofi serve
+/// --workers`, and ignores it.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecOptions {
-    /// Worker count (threads locally, processes on the server).
+    /// Worker threads of a local job (default 1). Served jobs ignore it:
+    /// the daemon's `goofi serve --workers` sizes their process pool.
     pub workers: usize,
     /// Build the injection-time checkpoint cache (default `true`).
     pub checkpoint: bool,
@@ -57,8 +60,9 @@ pub struct ExecOptions {
     pub telemetry: TelemetryMode,
     /// Pre-injection pruning mode (default trace-based).
     pub pruning: Pruning,
-    /// Equivalence-class execution (default off; ignored by the
-    /// multi-process engine, whose rows are byte-identical either way).
+    /// Equivalence-class execution (default off; still ignored on served
+    /// jobs, whose worker processes execute every live index and whose
+    /// rows are byte-identical either way).
     pub class_execution: bool,
     /// Static verdict prediction: synthesise the rows of faults the
     /// propagation analysis proved wash out (default off; requires
@@ -227,9 +231,8 @@ pub struct JobSummary {
 }
 
 impl JobSummary {
-    /// An empty summary skeleton — callers fill the public fields. Used
-    /// when a summary is synthesized from stored rows rather than a
-    /// fresh [`CampaignResult`] (resume of a complete campaign, tests).
+    /// An empty summary skeleton — callers fill the public fields (wire
+    /// tests build summaries this way).
     pub fn new(campaign: impl Into<String>, workers: usize) -> JobSummary {
         JobSummary {
             campaign: campaign.into(),
@@ -397,6 +400,12 @@ impl ServiceEvent {
             },
             ProgressEvent::Paused => ServiceEvent::Paused,
             ProgressEvent::Resumed => ServiceEvent::Resumed,
+            ProgressEvent::WorkerSpawned { worker, pid } => {
+                ServiceEvent::WorkerSpawned { worker, pid }
+            }
+            ProgressEvent::WorkerLost { worker, reissued } => {
+                ServiceEvent::WorkerLost { worker, reissued }
+            }
             ProgressEvent::Finished { completed, stopped } => {
                 ServiceEvent::Finished { completed, stopped }
             }
@@ -523,25 +532,19 @@ struct JobEntry {
     subscribers: Vec<Sender<ServiceEvent>>,
 }
 
-/// Shared job bookkeeping for service implementations: per-job status,
-/// a full event replay buffer (so `watch` sees history) and live
-/// subscriber fan-out (so `attach` follows along). [`LocalService`] and
-/// the server's process engine both build on it.
+/// [`LocalService`]'s job bookkeeping: per-job status, a full event
+/// replay buffer (so `watch` sees history) and live subscriber fan-out
+/// (so `attach` follows along).
 #[derive(Default)]
-pub struct JobRegistry {
+struct JobRegistry {
     jobs: Mutex<HashMap<JobId, JobEntry>>,
     order: Mutex<Vec<JobId>>,
     next: AtomicU64,
 }
 
 impl JobRegistry {
-    /// An empty registry.
-    pub fn new() -> JobRegistry {
-        JobRegistry::default()
-    }
-
     /// Registers a new queued job and emits its `Queued` event.
-    pub fn create(&self, campaign: &str) -> JobId {
+    fn create(&self, campaign: &str) -> JobId {
         let id = format!("job-{:04}", self.next.fetch_add(1, Ordering::Relaxed) + 1);
         self.jobs.lock().unwrap().insert(
             id.clone(),
@@ -564,7 +567,7 @@ impl JobRegistry {
 
     /// Appends an event to the job's buffer, updates its status and fans
     /// the event out to live subscribers. Unknown jobs are ignored.
-    pub fn emit(&self, job: &str, ev: ServiceEvent) {
+    fn emit(&self, job: &str, ev: ServiceEvent) {
         let mut jobs = self.jobs.lock().unwrap();
         let Some(entry) = jobs.get_mut(job) else {
             return;
@@ -616,13 +619,13 @@ impl JobRegistry {
     }
 
     /// The job's status, if known.
-    pub fn status(&self, job: &str) -> Option<JobStatus> {
+    fn status(&self, job: &str) -> Option<JobStatus> {
         self.jobs.lock().unwrap().get(job).map(|e| e.status.clone())
     }
 
     /// Subscribes to the job's events — replaying history first when
     /// `from_start` — or `None` for unknown jobs.
-    pub fn subscribe(&self, job: &str, from_start: bool) -> Option<EventStream> {
+    fn subscribe(&self, job: &str, from_start: bool) -> Option<EventStream> {
         let mut jobs = self.jobs.lock().unwrap();
         let entry = jobs.get_mut(job)?;
         let (tx, rx) = unbounded();
@@ -646,7 +649,7 @@ impl JobRegistry {
     }
 
     /// All jobs with statuses, in submission order.
-    pub fn jobs(&self) -> Vec<(JobId, JobStatus)> {
+    fn jobs(&self) -> Vec<(JobId, JobStatus)> {
         let jobs = self.jobs.lock().unwrap();
         self.order
             .lock()
@@ -672,10 +675,13 @@ pub type FactoryProvider = Arc<dyn Fn(&Campaign) -> Result<TargetFactory> + Send
 /// [`CampaignService`] over the in-process [`CampaignRunner`]: each
 /// submitted job runs on a background thread against the service's
 /// database file, with journaled persistence and a final checkpoint —
-/// exactly what `goofi run` did before the service existed.
+/// exactly what `goofi run` did before the service existed. With
+/// [`LocalService::processes`] the runner's pool executes on worker
+/// processes instead of threads; everything else stays the same.
 pub struct LocalService {
     db: PathBuf,
     provider: FactoryProvider,
+    processes: Option<Arc<dyn WorkerProcesses>>,
     registry: Arc<JobRegistry>,
     controls: Arc<Mutex<HashMap<JobId, Arc<ControlHandle>>>>,
     threads: Vec<JoinHandle<()>>,
@@ -688,15 +694,19 @@ impl LocalService {
         LocalService {
             db: db.into(),
             provider,
-            registry: Arc::new(JobRegistry::new()),
+            processes: None,
+            registry: Arc::default(),
             controls: Arc::new(Mutex::new(HashMap::new())),
             threads: Vec::new(),
         }
     }
 
-    /// The shared registry (servers wrap it; tests inspect it).
-    pub fn registry(&self) -> Arc<JobRegistry> {
-        self.registry.clone()
+    /// Runs every job's experiments on `processes` rather than on
+    /// threads; [`ExecOptions::workers`] is then ignored.
+    #[must_use]
+    pub fn processes(mut self, processes: Arc<dyn WorkerProcesses>) -> LocalService {
+        self.processes = Some(processes);
+        self
     }
 
     /// Waits for every submitted job to finish.
@@ -716,11 +726,7 @@ impl LocalService {
 /// its target's configuration (`CampaignData` has a foreign key into
 /// `TargetSystemData`), and made durable by a checkpoint. The returned
 /// store moves into the job.
-///
-/// # Errors
-///
-/// Load, lookup, validation and journaling failures.
-pub fn open_job_store(
+fn open_job_store(
     db: &Path,
     campaign: &CampaignRef,
     provider: &dyn Fn(&Campaign) -> Result<TargetFactory>,
@@ -772,10 +778,20 @@ impl CampaignService for LocalService {
 
         let registry = self.registry.clone();
         let db = self.db.clone();
+        let processes = self.processes.clone();
         let id = job.clone();
         self.threads.push(std::thread::spawn(move || {
             run_local_job(
-                &registry, &id, &db, store, &campaign, factory, &spec, controller, &handle,
+                &registry,
+                &id,
+                &db,
+                store,
+                &campaign,
+                factory,
+                processes.as_deref(),
+                &spec,
+                controller,
+                &handle,
             );
         }));
         Ok(job)
@@ -807,9 +823,9 @@ impl CampaignService for LocalService {
 }
 
 /// One local job, on its own thread: run the campaign against the
-/// journaled store [`open_job_store`] opened, with a progress forwarder
-/// pumping runner events into the registry, checkpoint, and emit the
-/// terminal event.
+/// journaled store [`open_job_store`] opened, on `processes` when given,
+/// with a progress forwarder pumping runner events into the registry,
+/// checkpoint, and emit the terminal event.
 #[allow(clippy::too_many_arguments)]
 fn run_local_job(
     registry: &Arc<JobRegistry>,
@@ -818,6 +834,7 @@ fn run_local_job(
     mut store: GoofiStore,
     campaign: &Campaign,
     factory: TargetFactory,
+    processes: Option<&dyn WorkerProcesses>,
     spec: &JobSpec,
     controller: Controller,
     handle: &Arc<ControlHandle>,
@@ -839,10 +856,13 @@ fn run_local_job(
 
     let outcome = (|| -> Result<JobSummary> {
         let options = &spec.options;
-        let runner = CampaignRunner::from_factory(|| factory(), campaign)
+        let mut runner = CampaignRunner::from_factory(|| factory(), campaign)
             .workers(options.workers)
             .options(options.run_options())
             .observer(&controller);
+        if let Some(processes) = processes {
+            runner = runner.processes(processes);
+        }
         let runner = if spec.resume {
             runner.resume_from(&mut store)
         } else {
@@ -851,7 +871,8 @@ fn run_local_job(
         let result = runner.run()?;
         // Checkpoint: the data file becomes current and the WAL empties.
         store.save(db)?;
-        Ok(JobSummary::from_result(&result, options.workers))
+        let workers = processes.map_or(options.workers, |p| p.workers());
+        Ok(JobSummary::from_result(&result, workers))
     })();
 
     drop(controller);

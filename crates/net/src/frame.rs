@@ -9,8 +9,10 @@ use std::io::{Read, Write};
 /// The protocol version this build speaks. Bumped only when existing
 /// frame or message encodings change; new message kinds are additive
 /// (the enums are `#[non_exhaustive]`). Version 1 carried JSON text
-/// payloads; version 2 carries the binary payload codec.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// payloads; version 2 carries the binary payload codec; version 3
+/// drops the plan fields the daemon no longer reads from
+/// `WorkerResponse::Ready`.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a frame's payload length. Larger declared lengths are
 /// rejected before any allocation — a corrupted length field must not
@@ -453,7 +455,7 @@ mod tests {
     #[test]
     fn foreign_version_decodes_as_envelope_but_not_as_message() {
         // Version 1 carried JSON text: `"Jobs"` is a v1 `Request::Jobs`.
-        for version in [1, PROTOCOL_VERSION + 1] {
+        for version in [1, 2, PROTOCOL_VERSION + 1] {
             let mut frame = Frame::new(FrameKind::Request, b"\"Jobs\"".to_vec());
             frame.version = version;
             let bytes = frame.encode();

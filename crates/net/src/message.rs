@@ -8,7 +8,7 @@
 use crate::frame::{Frame, FrameKind, NetResult};
 use goofi_core::service::{ExecOptions, JobId, JobSpec, JobStatus, ServiceEvent};
 use goofi_core::store::ExperimentRecord;
-use goofi_core::{Campaign, StaticAnalysis};
+use goofi_core::Campaign;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -183,9 +183,9 @@ pub enum WorkerRequest {
     Shutdown,
 }
 
-/// One experiment row tagged with its fault-list index, so the server's
-/// reorder buffer can stream rows to the store in fault-list order no
-/// matter which worker finished first.
+/// One experiment row tagged with its fault-list index, which the daemon
+/// checks against the chunk it shipped before the runner's writer logs
+/// the row in fault-list order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IndexedRecord {
     /// Fault-list index.
@@ -198,7 +198,8 @@ pub struct IndexedRecord {
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerResponse {
-    /// Preparation finished; the worker is ready for chunks.
+    /// Preparation finished; the worker is ready for chunks. The daemon
+    /// checks `experiments` and `reference` against its own plan.
     Ready {
         /// The worker's OS process id (the kill -9 target in recovery
         /// drills).
@@ -207,16 +208,6 @@ pub enum WorkerResponse {
         experiments: usize,
         /// The fault-free reference row (boxed: dominates the variant).
         reference: Box<ExperimentRecord>,
-        /// Per-index prunability (identical on every worker).
-        prunable: Vec<bool>,
-        /// Per-index propagation-predicted verdicts (identical on every
-        /// worker; absent on the wire from older workers).
-        #[serde(default)]
-        predicted: Vec<bool>,
-        /// The static analysis to persist, when static pruning ran
-        /// (boxed: the washout and equivalence maps dominate the
-        /// variant).
-        static_analysis: Option<Box<StaticAnalysis>>,
     },
     /// A chunk finished; rows are in index order.
     ChunkDone {

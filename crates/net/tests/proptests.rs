@@ -195,23 +195,13 @@ fn arb_worker_request() -> impl Strategy<Value = WorkerRequest> {
 
 fn arb_worker_response() -> impl Strategy<Value = WorkerResponse> {
     prop_oneof![
-        (
-            any::<u32>(),
-            1usize..500,
-            arb_record(),
-            prop::collection::vec(any::<bool>(), 0..32),
-            prop::collection::vec(any::<bool>(), 0..32),
-        )
-            .prop_map(|(pid, experiments, reference, prunable, predicted)| {
-                WorkerResponse::Ready {
-                    pid,
-                    experiments,
-                    reference: Box::new(reference),
-                    prunable,
-                    predicted,
-                    static_analysis: None,
-                }
-            }),
+        (any::<u32>(), 1usize..500, arb_record(),).prop_map(|(pid, experiments, reference)| {
+            WorkerResponse::Ready {
+                pid,
+                experiments,
+                reference: Box::new(reference),
+            }
+        }),
         (
             any::<u64>(),
             prop::collection::vec((0usize..1000, arb_record()), 0..4)

@@ -5,13 +5,14 @@
 //! * [`Daemon`] — a loopback TCP server exposing any `CampaignService`
 //!   to remote clients: submit, status, watch (streamed events), cancel,
 //!   jobs, shutdown. Version mismatches are answered with typed errors.
-//! * [`ProcessService`] — the multi-process execution engine: each job's
-//!   fault list is chunked across `goofi worker` children; finished rows
-//!   stream through an index-ordered reorder buffer into the shared
-//!   database, which therefore matches a single-process run byte for
-//!   byte. A crashed (or `kill -9`ed) worker's chunk is re-issued and a
-//!   replacement spawned, riding the storage engine's WAL for
-//!   durability.
+//! * [`ProcessService`] — the daemon's service: a served job runs
+//!   through the same `CampaignRunner` plan and writer as a local one,
+//!   and its runner pool drives `goofi worker` children instead of
+//!   threads, so the database matches a single-process run byte for
+//!   byte. This crate supplies the process worker kind (spawn, Init/Ready
+//!   handshake, chunk round trip, dead-pipe detection); the runner
+//!   re-issues a crashed (or `kill -9`ed) worker's chunk and starts a
+//!   replacement, riding the storage engine's WAL for durability.
 //! * [`worker_main`] — the worker-process entry point (frame loop over
 //!   stdin/stdout).
 

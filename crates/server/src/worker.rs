@@ -32,9 +32,6 @@ impl WorkerState {
             pid: std::process::id(),
             experiments: plan.len(),
             reference: Box::new(plan.reference_record(&campaign)),
-            prunable: plan.prunable.clone(),
-            predicted: plan.predicted.clone(),
-            static_analysis: plan.static_analysis.clone().map(Box::new),
         };
         Ok((
             WorkerState {

@@ -9,8 +9,8 @@
 //! as a plain `main` with one `eprintln` line per scenario.
 
 use goofi_core::{
-    Campaign, CampaignRef, CampaignRunner, CampaignService, FaultModel, GoofiStore, JobSpec,
-    LocationSelector, ServiceEvent, Technique,
+    Campaign, CampaignRef, CampaignRunner, CampaignService, ExecOptions, FaultModel, GoofiStore,
+    JobSpec, JobSummary, LocationSelector, Pruning, ServiceEvent, Technique, TelemetryMode,
 };
 use goofi_server::{ProcessService, ServerConfig};
 use goofi_targets::standard_factory;
@@ -18,11 +18,17 @@ use std::os::unix::fs::MetadataExt;
 use std::path::PathBuf;
 
 fn campaign(name: &str, experiments: usize) -> Campaign {
-    Campaign::builder(name, "thor-card", "sort8")
+    campaign_on(name, experiments, "sort8", None)
+}
+
+/// The campaign on `workload`, its faults restricted to one `cpu` chain
+/// field when `field` names one.
+fn campaign_on(name: &str, experiments: usize, workload: &str, field: Option<&str>) -> Campaign {
+    Campaign::builder(name, "thor-card", workload)
         .technique(Technique::Scifi)
         .select(LocationSelector::Chain {
             chain: "cpu".into(),
-            field: None,
+            field: field.map(str::to_owned),
         })
         .fault_model(FaultModel::BitFlip)
         .window(0, 900)
@@ -50,6 +56,12 @@ fn tmp(name: &str) -> PathBuf {
 /// The sequential in-process reference run: what every server
 /// configuration must reproduce byte for byte.
 fn sequential_bytes(c: &Campaign) -> Vec<u8> {
+    sequential_run(c, &ExecOptions::new()).0
+}
+
+/// The sequential in-process run under `options`: its database bytes and
+/// its job summary.
+fn sequential_run(c: &Campaign, options: &ExecOptions) -> (Vec<u8>, JobSummary) {
     let path = tmp("sequential.db");
     seeded_db(&path, c);
     let mut store = GoofiStore::load(&path).unwrap();
@@ -57,12 +69,30 @@ fn sequential_bytes(c: &Campaign) -> Vec<u8> {
     // the WAL before the final snapshot either way.
     store.enable_journal(&path).unwrap();
     let factory = standard_factory(c).unwrap();
-    CampaignRunner::from_factory(|| factory(), c)
+    let result = CampaignRunner::from_factory(|| factory(), c)
+        .options(options.run_options())
         .store(&mut store)
         .run()
         .unwrap();
     store.save(&path).unwrap();
-    std::fs::read(&path).unwrap()
+    (
+        std::fs::read(&path).unwrap(),
+        JobSummary::from_result(&result, 1),
+    )
+}
+
+/// The database in `bytes` without its telemetry rollup, rewritten
+/// compactly: the rollup's timings are the one intended difference
+/// between two runs that record telemetry.
+fn without_telemetry(bytes: &[u8], campaign: &str) -> Vec<u8> {
+    let (path, out) = (tmp("with-telemetry.db"), tmp("without-telemetry.db"));
+    let _ = std::fs::remove_file(path.with_extension("db.wal"));
+    std::fs::write(&path, bytes).unwrap();
+    let mut store = GoofiStore::load(&path).unwrap();
+    store.clear_telemetry(campaign).unwrap();
+    let _ = std::fs::remove_file(&out);
+    store.save(&out).unwrap();
+    std::fs::read(&out).unwrap()
 }
 
 fn server_config(db: &PathBuf, workers: usize) -> ServerConfig {
@@ -75,41 +105,87 @@ fn server_config(db: &PathBuf, workers: usize) -> ServerConfig {
     .chunk(5)
 }
 
-/// Any worker-process count produces the sequential run's database.
+/// Any worker-process count produces the sequential run's database and
+/// summary, under each options axis: (a) the defaults, (b) static
+/// pruning plus prediction on R6 faults, so rows really are pruned and
+/// predicted, and (c) metrics telemetry, compared without its rollup.
 fn multi_process_runs_are_byte_identical() {
-    let c = campaign("det-mp", 40);
-    let reference = sequential_bytes(&c);
-    for workers in [1usize, 4] {
-        let db = tmp(&format!("mp{workers}.db"));
-        seeded_db(&db, &c);
-        let seeded_inode = std::fs::metadata(&db).unwrap().ino();
-        let mut svc = ProcessService::new(server_config(&db, workers));
-        let job = svc
-            .submit(JobSpec::new(CampaignRef::Name(c.name.clone())))
-            .expect("submit");
-        let stream = svc.watch(&job, true).expect("watch");
-        let events: Vec<ServiceEvent> = stream.collect();
-        assert!(
-            matches!(events.last(), Some(ServiceEvent::Completed { summary }) if summary.experiments == 40),
-            "{workers} workers: unexpected terminal event {:?}",
-            events.last()
-        );
-        let spawned = events
-            .iter()
-            .filter(|e| matches!(e, ServiceEvent::WorkerSpawned { .. }))
-            .count();
-        assert_eq!(spawned, workers, "one Ready worker per slot");
-        svc.join();
-        assert_eq!(
-            std::fs::metadata(&db).unwrap().ino(),
-            seeded_inode,
-            "{workers}-worker job replaced the database file instead of opening it once"
-        );
-        let bytes = std::fs::read(&db).unwrap();
-        assert_eq!(
-            bytes, reference,
-            "{workers}-worker server DB differs from the sequential run"
-        );
+    let axes = [
+        ("defaults", campaign("det-mp", 40), ExecOptions::new()),
+        (
+            "decided",
+            campaign_on("det-mp-r6", 40, "sort16", Some("R6")),
+            ExecOptions::new().pruning(Pruning::Static).prediction(true),
+        ),
+        (
+            "metrics",
+            campaign("det-mp-tel", 40),
+            ExecOptions::new().telemetry(TelemetryMode::Metrics),
+        ),
+    ];
+    for (axis, c, options) in axes {
+        let telemetry = options.telemetry != TelemetryMode::Off;
+        let comparable = |bytes: Vec<u8>| {
+            if telemetry {
+                without_telemetry(&bytes, &c.name)
+            } else {
+                bytes
+            }
+        };
+        let (reference, local) = sequential_run(&c, &options);
+        let reference = comparable(reference);
+        if axis == "decided" {
+            assert!(
+                local.pruned > 0 && local.predicted > 0,
+                "the decided axis neither prunes nor predicts: {local:?}"
+            );
+        }
+        for workers in [1usize, 4] {
+            let db = tmp(&format!("mp{workers}-{axis}.db"));
+            seeded_db(&db, &c);
+            let seeded_inode = std::fs::metadata(&db).unwrap().ino();
+            let mut svc = ProcessService::new(server_config(&db, workers));
+            let job = svc
+                .submit(JobSpec::new(CampaignRef::Name(c.name.clone())).options(options.clone()))
+                .expect("submit");
+            let stream = svc.watch(&job, true).expect("watch");
+            let events: Vec<ServiceEvent> = stream.collect();
+            assert!(
+                matches!(events.last(), Some(ServiceEvent::Completed { summary }) if summary.experiments == 40),
+                "{axis}, {workers} workers: unexpected terminal event {:?}",
+                events.last()
+            );
+            let spawned = events
+                .iter()
+                .filter(|e| matches!(e, ServiceEvent::WorkerSpawned { .. }))
+                .count();
+            assert_eq!(spawned, workers, "one Ready worker per slot");
+            svc.join();
+            assert_eq!(
+                std::fs::metadata(&db).unwrap().ino(),
+                seeded_inode,
+                "{workers}-worker job replaced the database file instead of opening it once"
+            );
+            let bytes = comparable(std::fs::read(&db).unwrap());
+            assert_eq!(
+                bytes, reference,
+                "{axis}: {workers}-worker server DB differs from the sequential run"
+            );
+            let Some(ServiceEvent::Completed { summary }) = events.last() else {
+                unreachable!("checked above")
+            };
+            assert_eq!(
+                (summary.experiments, summary.pruned, summary.predicted),
+                (local.experiments, local.pruned, local.predicted),
+                "{axis}, {workers} workers: summary counts differ from the in-process run"
+            );
+            assert_eq!(summary.stats, local.stats, "{axis}, {workers} workers");
+            assert_eq!(
+                summary.telemetry.is_some(),
+                telemetry,
+                "{axis}, {workers} workers: telemetry rollup"
+            );
+        }
     }
     eprintln!("server_recovery: multi_process_runs_are_byte_identical ... ok");
 }
